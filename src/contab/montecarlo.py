@@ -26,11 +26,20 @@ reaches every valid table.  In the last column the range collapses to
 x = r_i by conservation.
 
 Each sample carries the weight 1/q(table); averaging the weights gives an
-unbiased estimate of the count.  Everything is accumulated in log space
-since the counts of interest reach 1e127.  Sample i is a pure function of
-(seed, i): the uniforms come from a counter-based Philox stream generated
-as one block up front, and all per-sample arithmetic is independent of
-batching, so results do not depend on chunk sizes or threads.
+unbiased estimate of the count.  The weights are accumulated in log space
+since the counts of interest reach 1e127, but the lookahead is linear and
+scaled: row i's entry weights are kept as the ratios
+C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
+and each convolution is rescaled to a per-sample maximum of 1.  A factor
+that is constant for a sample cancels from every conditional, so only the
+draw's log z - log p(x) leaves linear space.  The last row of a column and
+the whole last column are forced and cost no draw.
+
+Sample i is a pure function of (seed, i).  Samples run in chunks sized by a
+fixed byte budget; each chunk draws m*n uniforms per sample from the
+counter-based Philox stream where the previous chunk left it, and all
+per-sample arithmetic is independent of batching, so results do not depend
+on chunk sizes.
 """
 
 from __future__ import annotations
@@ -45,7 +54,9 @@ from scipy.special import logsumexp
 from .core import InvalidSpecError, LogEstimate, TableSpec, log_binomial
 
 _NEG_INF = float("-inf")
-_CHUNK = 20_000
+# working set of one chunk of samples; of 2 to 64 MiB, 16 MiB ran the
+# 10x10, 3x100 and 30x30 benchmark shapes fastest together
+_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -181,71 +192,88 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
         rng = seed_or_rng
     else:
         rng = np.random.Generator(np.random.Philox(int(seed_or_rng)))
-    uniforms = rng.random((samples, m * n))
     log_row = _log_spread_table(s, n)   # log_row[nl][u], u = budget left
+    # doubles per sample in a chunk: entry weights and lookahead tables
+    # (m rows of t+1 each), the uniforms, and the draw's (t+1)-row temporaries
+    per_sample = 8 * (2 * m * (t + 1) + m * n + 6 * (t + 1))
+    chunk = max(1, _CHUNK_BYTES // per_sample)
     logw = np.empty(samples, dtype=np.float64)
     tables = np.zeros((samples, m, n), dtype=np.int64) if want_tables else None
-    for start in range(0, samples, _CHUNK):
-        stop = min(samples, start + _CHUNK)
+    for start in range(0, samples, chunk):
+        stop = min(samples, start + chunk)
         chunk_tables = tables[start:stop] if want_tables else None
-        logw[start:stop] = _sample_chunk(
-            m, s, n, t, log_row, uniforms[start:stop], chunk_tables)
+        # consecutive blocks continue one stream: row i is always sample i's
+        uniforms = rng.random((stop - start, m * n))
+        logw[start:stop] = _sample_chunk(m, s, n, t, log_row, uniforms,
+                                         chunk_tables)
     return (logw, tables) if want_tables else logw
 
 
 def _sample_chunk(m, s, n, t, log_row, uniforms, tables):
+    """Log weights of one chunk of samples, filled column by column.
+
+    Arrays keep the sample axis last, so every step below runs over
+    contiguous rows of one value per sample.
+    """
     size = uniforms.shape[0]
-    budgets = np.full((size, m), s, dtype=np.int64)
-    total_logw = np.zeros(size, dtype=np.float64)
-    xs = np.arange(t + 1, dtype=np.int64)[None, :]
-    rows_idx = np.arange(size)
-    for j in range(n):
-        nl = n - 1 - j
-        # per-row entry weights at the start of the column: a[i][:, x]
-        a_log = np.empty((m, size, t + 1))
-        for i in range(m):
-            u = budgets[:, i, None] - xs
-            a_log[i] = np.where(u >= 0, log_row[nl][np.clip(u, 0, s)], _NEG_INF)
-        # lookahead: w_log[i][:, v] = log of the weighted ways rows i.. can
-        # absorb v into this column (a log-space convolution, done scaled)
-        w_log = np.full((m + 1, size, t + 1), _NEG_INF)
-        w_log[m][:, 0] = 0.0
-        for i in range(m - 1, 0, -1):
-            w_log[i] = _log_convolve(a_log[i], w_log[i + 1])
+    width = t + 1
+    budgets = np.full((m, size), s, dtype=np.int64)
+    logw = np.zeros(size, dtype=np.float64)
+    cols = np.arange(size)
+    xs = np.arange(width)[:, None]
+    # pad[i][1 + v]: scaled weighted ways rows i.. can absorb v into the
+    # column; pad[i][0] stays 0 and stands for every v < 0 in the draw
+    pad = np.zeros((m, width + 1, size))
+    look = pad[:, 1:]
+    tmp = np.empty((width, size))
+    for j in range(n - 1):
+        log_spread = log_row[n - 1 - j]
+        # ratio[x, u] = spread(u - x) / spread(u): the weight of entry x for a
+        # row with budget u, scaled so that ratio[0, u] = 1
+        gap = np.arange(s + 1) - xs
+        ratio = np.where(gap >= 0, np.exp(
+            log_spread[np.maximum(gap, 0)] - log_spread), 0.0)
+        a = ratio[:min(t, int(budgets.max())) + 1, budgets]   # a[x, i]
+        # the last row absorbs v alone; rows above convolve in their weights
+        look[m - 1] = 0.0
+        look[m - 1][:a.shape[0]] = a[:, m - 1]
+        for i in range(m - 2, 0, -1):
+            below, out = look[i + 1], look[i]
+            np.multiply(a[0, i], below, out=out)
+            for x in range(1, min(t, int(budgets[i].max())) + 1):
+                np.multiply(a[x, i], below[:width - x], out=tmp[x:])
+                out[x:] += tmp[x:]
+            out /= out.max(axis=0)
         t_rem = np.full(size, t, dtype=np.int64)
-        for i in range(m):
-            v = t_rem[:, None] - xs
-            lw = np.where(v >= 0,
-                          a_log[i] + w_log[i + 1][rows_idx[:, None],
-                                                  np.clip(v, 0, t)],
-                          _NEG_INF)
-            log_z = logsumexp(lw, axis=1)
-            assert np.isfinite(log_z).all(), "proposal support vanished"
-            cdf = np.cumsum(np.exp(lw - log_z[:, None]), axis=1)
-            idx = (cdf < uniforms[:, j * m + i, None]).sum(axis=1)
-            x = np.minimum(idx, np.minimum(budgets[:, i], t_rem))
-            total_logw += log_z - lw[rows_idx, x]
-            budgets[:, i] -= x
+        for i in range(m - 1):
+            hi = np.minimum(budgets[i], t_rem)
+            rows = int(hi.max()) + 1
+            # p[x] = a[x] * look[i + 1][t_rem - x], gathered from the flat
+            # padded table; mode="clip" sends every v < -1 to the zero row too
+            at = (t_rem + 1) * size + cols - xs[:rows] * size
+            p = a[:rows, i] * pad[i + 1].reshape(-1).take(at, mode="clip")
+            cdf = p.copy()
+            for x in range(1, rows):
+                cdf[x] += cdf[x - 1]
+            z = cdf[-1]
+            assert (z > 0).all(), "proposal support vanished"
+            idx = (cdf < uniforms[:, j * m + i] * z).sum(axis=0)
+            x = np.minimum(idx, hi)
+            logw += np.log(z) - np.log(p[x, cols])
+            budgets[i] -= x
             t_rem -= x
             if tables is not None:
                 tables[:, i, j] = x
-        assert (t_rem == 0).all(), "column sum not met"
-    assert (budgets == 0).all(), "row sum not met"
-    return total_logw
-
-
-def _log_convolve(a_log, b_log):
-    """Row-wise log-space convolution of (size, t+1) tables, truncated to t+1."""
-    width = a_log.shape[1]
-    a_max = a_log.max(axis=1, keepdims=True)
-    b_max = b_log.max(axis=1, keepdims=True)
-    a = np.exp(a_log - a_max)
-    b = np.exp(b_log - b_max)
-    out = np.zeros_like(a)
-    for shift in range(width):
-        out[:, shift:] += a[:, shift:shift + 1] * b[:, :width - shift]
-    with np.errstate(divide="ignore"):
-        return np.log(out) + a_max + b_max
+        # the last row takes what the column still needs, with weight 1
+        assert (budgets[m - 1] >= t_rem).all(), "column sum not met"
+        budgets[m - 1] -= t_rem
+        if tables is not None:
+            tables[:, m - 1, j] = t_rem
+    # the last column takes what every row still has, with weight 1
+    assert (budgets.sum(axis=0) == t).all(), "row sum not met"
+    if tables is not None:
+        tables[:, :, n - 1] = budgets.T
+    return logw
 
 
 def _log_spread_table(max_value: int, max_parts: int) -> list[np.ndarray]:

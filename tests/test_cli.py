@@ -282,6 +282,20 @@ def test_installed_console_script():
     assert json.loads(proc.stdout)["value"] == "3"
 
 
+def test_python_dash_m_runs_the_cli():
+    # `python -m contab` works from an uninstalled source tree
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(contab.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "contab", "count",
+                           "2", "2", "2", "2", "--format", "json"],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "3"
+
+
 @pytest.mark.skipif(shutil.which("contab") is None,
                     reason="contab not installed")
 def test_contab_script_on_path():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from contab import montecarlo
 from contab.core import InvalidSpecError, make_spec
 from contab.exact import count_exact
 from contab.montecarlo import enumerate_proposal, mc_estimate, sample_table
@@ -115,8 +116,9 @@ def test_seed_change_moves_estimate_within_noise():
         assert abs(est.mean.value - count) <= 5 * se, seed
 
 
-def test_chunked_batches_keep_ess_below_n():
-    # 25000 samples crosses the internal batch size
+def test_chunked_batches_keep_ess_below_n(monkeypatch):
+    # a byte budget that splits 25000 samples into 16 chunks
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 20)
     est = mc_estimate(make_spec(4, 3, 3, 4), 25000, seed=2)
     assert est.sample_count == 25000
     assert 0 < est.effective_sample_size <= 25000
@@ -155,10 +157,39 @@ def test_zero_density_rejected():
 
 
 def test_log_weight_matches_enumerated_probability():
-    # the sampled log weight must equal -log q of the drawn table
-    spec = make_spec(2, 2, 2, 2)
-    by_table = {t: q for t, q in enumerate_proposal(spec)}
-    for seed in range(12):
-        table, logw = sample_table(spec, seed)
-        expected = -math.log(float(by_table[table]))
-        assert math.isclose(logw, expected, rel_tol=1e-12, abs_tol=1e-12)
+    # the sampled log weight must equal -log q of the drawn table; beyond
+    # 2x2 this covers the multi-row lookahead and the forced last row and
+    # last column
+    for quad in [(2, 2, 2, 2), (3, 4, 3, 4), (4, 3, 3, 4), (2, 6, 4, 3)]:
+        spec = make_spec(*quad)
+        by_table = {t: q for t, q in enumerate_proposal(spec)}
+        for seed in range(12):
+            table, logw = sample_table(spec, seed)
+            expected = -math.log(float(by_table[table]))
+            assert math.isclose(logw, expected, rel_tol=1e-12,
+                                abs_tol=1e-12), (quad, seed)
+
+
+def test_chunk_size_does_not_change_any_weight(monkeypatch):
+    spec = make_spec(4, 3, 3, 4)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 40)
+    whole = montecarlo._batch_log_weights(spec, 25000, 9)
+    # about a hundred samples per chunk, the last one ragged
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 16)
+    split = montecarlo._batch_log_weights(spec, 25000, 9)
+    assert whole.tobytes() == split.tobytes()
+
+
+def test_sample_weight_depends_only_on_seed_and_index():
+    spec = make_spec(4, 3, 3, 4)
+    head = montecarlo._batch_log_weights(spec, 300, 4)
+    assert (montecarlo._batch_log_weights(spec, 25000, 4)[:300].tobytes()
+            == head.tobytes())
+
+
+def test_wide_column_totals():
+    # t + 1 = 101 and 301 lookahead entries per column
+    est = mc_estimate(make_spec(3, 100, 3, 100), 20000)
+    assert abs(est.mean.value - 13268976) <= 5 * est.standard_error
+    est = mc_estimate(make_spec(2, 300, 2, 300), 1000)
+    assert math.isclose(est.mean.value, 301, rel_tol=1e-9)
