@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import ehrhart, estimators, exact, integral, montecarlo
 from .core import InvalidSpecError, LogEstimate, ResourceLimitError, make_spec
@@ -65,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output rendering (default text)")
     common.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help="significant digits for scientific renderings")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel-friendly subcommands")
     common.add_argument("--max-states",
                         default=_env_int("CONTAB_MAX_STATES", exact.DEFAULT_MAX_STATES),
                         type=int, help="state cap for exact counting")
@@ -157,10 +154,6 @@ def main(argv=None) -> int:
         return 2
     sys.stdout.write(render(record, args.format))
     return 0
-
-
-def run_cli(argv) -> int:
-    return main(argv)
 
 
 def _dispatch(args) -> dict:
@@ -267,8 +260,7 @@ def _cmd_mc(args) -> dict:
 
 
 def _cmd_ehrhart(args) -> dict:
-    poly = ehrhart.ehrhart_polynomial(args.m, args.n, threads=args.threads,
-                                      max_states=args.max_states,
+    poly = ehrhart.ehrhart_polynomial(args.m, args.n, max_states=args.max_states,
                                       max_work=args.max_evals)
     record = {"command": "ehrhart", "m": args.m, "n": args.n,
               "s0": poly.s0, "t0": poly.t0, "degree": poly.degree,

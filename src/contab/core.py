@@ -70,6 +70,13 @@ class TableSpec:
         """Average entry lam = s/n, equal to t/m by balance."""
         return Fraction(self.s, self.n)
 
+    def positive_density(self) -> Fraction:
+        """The density, for the methods that are undefined at zero margins."""
+        if self.density == 0:
+            raise InvalidSpecError(
+                f"this method needs positive margins, got s={self.s}, t={self.t}")
+        return self.density
+
     @property
     def total(self) -> int:
         """Sum of all entries, m*s == n*t."""

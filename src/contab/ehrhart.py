@@ -22,12 +22,11 @@ counting or interpolation bug cannot produce a quietly wrong polynomial.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import InvalidSpecError, TableSpec, make_spec
+from .core import InvalidSpecError, make_spec
 from .exact import count_exact
 
 
@@ -47,13 +46,12 @@ class EhrhartPolynomial:
         return evaluate(self, q)
 
 
-def ehrhart_polynomial(m: int, n: int, counter=None, *, threads: int = 1,
+def ehrhart_polynomial(m: int, n: int, counter=None, *,
                        max_states: int | None = None,
                        max_work: int | None = None) -> EhrhartPolynomial:
     """Interpolate the dilation polynomial for the m x n shape.
 
-    counter(spec) -> int supplies exact counts (defaults to count_exact);
-    threads > 1 runs the independent counts through a thread pool.
+    counter(spec) -> int supplies exact counts (defaults to count_exact).
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise InvalidSpecError(f"need positive integer shape, got m={m!r}, n={n!r}")
@@ -65,11 +63,7 @@ def ehrhart_polynomial(m: int, n: int, counter=None, *, threads: int = 1,
     d = (m - 1) * (n - 1)
 
     specs = [make_spec(m, q * s0, n, q * t0) for q in range(d + 2)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(counter, specs))
-    else:
-        values = [counter(sp) for sp in specs]
+    values = [counter(sp) for sp in specs]
 
     coeffs = _newton_interpolate(values[:d + 1])
     poly = EhrhartPolynomial(m, n, s0, t0, d, coeffs,

@@ -58,23 +58,15 @@ class SaddleParams:
 
 
 def saddle_params(spec: TableSpec) -> SaddleParams:
-    lam = _positive_density(spec)
+    lam = spec.positive_density()
     a = lam * (1 + lam) / 2
     r = math.sqrt(lam / (1 + lam))
     return SaddleParams(density=lam, gaussian_coeff=a, contour_radius=r)
 
 
-def _positive_density(spec: TableSpec) -> Fraction:
-    lam = spec.density
-    if lam == 0:
-        raise InvalidSpecError(
-            f"estimates need positive margins, got s={spec.s}, t={spec.t}")
-    return lam
-
-
 def good_log(spec: TableSpec) -> float:
     """Natural log of the independence heuristic G."""
-    _positive_density(spec)
+    spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     total = spec.total
     return (m * log_binomial(n + s - 1, s)
@@ -93,7 +85,7 @@ def refined_estimate(spec: TableSpec) -> LogEstimate:
 
 def closed_form_estimate(spec: TableSpec) -> LogEstimate:
     """Fully expanded second-order form (CLI method token: thm1-closed)."""
-    lam = _positive_density(spec)
+    lam = spec.positive_density()
     m, n = spec.m, spec.n
     a = lam * (1 + lam) / 2
     entropy = -float(lam) * log_of_fraction(lam) \
@@ -110,7 +102,7 @@ def closed_form_estimate(spec: TableSpec) -> LogEstimate:
 
 def high_density_estimate(spec: TableSpec) -> LogEstimate:
     """Large-density limit form (CLI method token: cor1)."""
-    lam = _positive_density(spec)
+    lam = spec.positive_density()
     m, n = spec.m, spec.n
     log_value = ((m - 1) * (n - 1) * log_of_fraction(lam + Fraction(1, 2))
                  + math.lgamma(m * n + 1)
@@ -170,7 +162,7 @@ class CountDecomposition:
 
 def independence_decomposition(spec: TableSpec, exact_count: int) -> CountDecomposition:
     """Split an exact count into the independence factors N, P1, P2, E."""
-    _positive_density(spec)
+    spec.positive_density()
     if exact_count < 1:
         raise InvalidSpecError(f"need a positive exact count, got {exact_count}")
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
@@ -188,7 +180,7 @@ def independence_decomposition(spec: TableSpec, exact_count: int) -> CountDecomp
 
 def hypothesis_lhs(spec: TableSpec) -> Fraction:
     """Exact left side of the applicability hypothesis."""
-    lam = _positive_density(spec)
+    lam = spec.positive_density()
     m, n = spec.m, spec.n
     balance = 1 + Fraction(5 * m, 6 * n) + Fraction(5 * n, 6 * m)
     return (1 + 2 * lam) ** 2 / (4 * lam * (1 + lam)) * balance

@@ -1,23 +1,32 @@
 """Exact counting of nonnegative integer matrices with constant margins.
 
-count_exact fills the matrix column by column.  All rows have the same
-target sum, so rows are interchangeable up to their remaining deficit, and
-the DP state is the sorted multiset of remaining row deficits.  The number
-of columns still to fill is implied by mass conservation: the deficits of a
-reachable state always sum to (columns remaining) * t, which also gives the
-cheap internal consistency assertion.
+count_exact fills the matrix column by column in one forward pass.  All
+rows have the same target sum, so rows are interchangeable up to their
+remaining deficit, and the DP state is the multiset of positive deficits,
+stored as sorted (deficit, multiplicity) pairs; a row whose deficit reaches
+zero is finished and drops out.  The pass keeps one dict per column layer
+mapping each reachable state to the number of ways to reach it, starting
+from every row at deficit s.  Mass conservation fixes the number of columns
+left: the deficits of a state in the layer with c columns left sum to c * t,
+which also gives a cheap internal consistency assertion.
 
-A transition spends one column: distribute t units over the rows, each row
-j receiving x_j with 0 <= x_j <= deficit_j.  Allocations are enumerated
-aggregated by deficit value: for each class of mu rows sharing deficit v we
-choose a multiset of mu amounts and weight it by the multinomial count of
-ways to hand those amounts to labeled rows (a product of binomials).  Rows
-whose new deficit could never be filled by the remaining columns are pruned
-(new deficit must be <= (columns remaining - 1) * t).
+Spending one column distributes t units over the rows, each row receiving
+0 <= x <= deficit.  Allocations are enumerated aggregated by deficit value:
+for each class of mu rows sharing deficit v we choose a multiset of mu
+amounts and weight it by the number of ways to hand those amounts to
+labeled rows (a product of binomials).  The enumeration runs on an explicit
+stack, so its depth does not grow with the shape, and it visits only
+partial choices that can still be completed: a row whose new deficit could
+never be filled by the remaining columns is pruned (new deficit must be
+<= (columns remaining - 1) * t).  The last two columns are finished in
+closed form.
 
 Counts are exact Python ints throughout.  Two budgets bound the computation:
-a state cap on memo entries and a work budget on enumerated allocations.
+a state cap on the states held in the layer being built, checked as each
+new state is inserted, and a work budget on enumerated allocations.
 Exceeding either raises ResourceLimitError; a wrong answer is never returned.
+A layer never holds more states than the allocations that made it, so with
+max_states > max_work the work budget always trips first.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -25,7 +34,7 @@ independent oracle for small instances.
 
 from __future__ import annotations
 
-import sys
+from math import comb
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
 
@@ -40,9 +49,9 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
                 max_work: int | None = None) -> int:
     """Exact number of matrices with the given margins.
 
-    max_states caps stored DP states (default 2**28); max_work caps the
-    total number of enumerated column allocations (default 10**9).  Pass
-    None for a default, or 0/negative to reject immediately.
+    max_states caps the states held in one column layer (default 2**28);
+    max_work caps the total number of enumerated column allocations
+    (default 10**9).  Pass None for a default.
     """
     max_states = DEFAULT_MAX_STATES if max_states is None else max_states
     max_work = DEFAULT_MAX_WORK if max_work is None else max_work
@@ -54,119 +63,115 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
         return 1
 
     comb_rows = _pascal(m)
-    memo: dict[tuple[int, ...], int] = {}
+    layer = {((s, m),): 1}
     work = 0
-
-    def count_state(state: tuple[int, ...]) -> int:
-        nonlocal work
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        total = sum(state)
-        cols = total // t
-        assert total == cols * t, "mass conservation violated"
-        if cols == 1:
-            memo[state] = 1
-            return 1
-
-        # group equal deficits: classes[i] = (value, multiplicity)
-        classes = []
-        prev = -1
-        for v in state:
-            if v == prev:
-                classes[-1][1] += 1
-            else:
-                classes.append([v, 1])
-                prev = v
-
-        if cols == 2:
-            # both remaining columns are determined by the first allocation,
-            # so the state counts bounded compositions of t in closed form
-            work += 1
-            result = _two_column_count(classes, t, m)
-            if len(memo) >= max_states:
-                raise ResourceLimitError(
-                    f"state cap exhausted counting {spec}: "
-                    f"{len(memo)} states stored >= {max_states}",
-                    kind="states", limit=max_states, used=len(memo))
-            memo[state] = result
-            return result
-
-        nclasses = len(classes)
-        cap_next = (cols - 1) * t
-        lo_amounts = [max(0, v - cap_next) for v, _ in classes]
-        # how much classes i.. can absorb at most this column
-        suffix_cap = [0] * (nclasses + 1)
-        for i in range(nclasses - 1, -1, -1):
-            v, mu = classes[i]
-            suffix_cap[i] = suffix_cap[i + 1] + mu * min(v, t)
-
-        new_parts: list[int] = []
-
-        def alloc_class(ci: int, rem: int, ways: int) -> int:
-            nonlocal work
-            if ci == nclasses:
-                if rem != 0:
-                    return 0
+    for cols in range(n, 2, -1):
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        for state, ways in layer.items():
+            assert sum(v * mu for v, mu in state) == cols * t, \
+                "mass conservation violated"
+            for child, labelings in _allocations(state, t, (cols - 1) * t,
+                                                 comb_rows):
                 work += 1
                 if work > max_work:
                     raise ResourceLimitError(
                         f"work budget exhausted counting {spec}: "
                         f"{work} allocation steps > {max_work} "
-                        f"({len(memo)} states stored)",
+                        f"({len(nxt)} states in the layer being built)",
                         kind="work", limit=max_work, used=work)
-                child = tuple(sorted(new_parts, reverse=True))
-                return ways * count_state(child)
-            if rem > suffix_cap[ci]:
-                return 0
-            return pick(ci, min(classes[ci][0], rem), classes[ci][1], rem, ways)
+                if child in nxt:
+                    nxt[child] += ways * labelings
+                elif len(nxt) < max_states:
+                    nxt[child] = ways * labelings
+                else:
+                    raise ResourceLimitError(
+                        f"state cap exhausted counting {spec}: "
+                        f"{len(nxt) + 1} states in one layer > {max_states}",
+                        kind="states", limit=max_states, used=len(nxt) + 1)
+        layer = nxt
 
-        def pick(ci: int, a: int, rows_left: int, rem: int, ways: int) -> int:
-            # hand amounts <= a to rows_left remaining rows of class ci
-            if rows_left == 0:
-                return alloc_class(ci + 1, rem, ways)
-            lo = lo_amounts[ci]
-            if a < lo:
-                return 0
-            if rows_left * lo > rem:
-                return 0
-            if rows_left * a + suffix_cap[ci + 1] < rem:
-                return 0
-            v = classes[ci][0]
-            comb_left = comb_rows[rows_left]
-            acc = 0
-            new_val = v - a
-            for k in range(rows_left + 1):
-                used = k * a
-                if used > rem:
-                    break
-                if k:
-                    new_parts.extend([new_val] * k)
-                sub = pick(ci, a - 1, rows_left - k, rem - used, ways * comb_left[k])
-                if sub:
-                    acc += sub
-                if k:
-                    del new_parts[-k:]
-            return acc
+    total = 0
+    for state, ways in layer.items():
+        assert sum(v * mu for v, mu in state) == 2 * t, "mass conservation violated"
+        total += ways * _two_column_count(state, t)
+    return total
 
-        result = alloc_class(0, t, 1)
-        if len(memo) >= max_states:
-            raise ResourceLimitError(
-                f"state cap exhausted counting {spec}: "
-                f"{len(memo)} states stored >= {max_states}",
-                kind="states", limit=max_states, used=len(memo))
-        memo[state] = result
-        return result
 
-    old_limit = sys.getrecursionlimit()
-    needed = n + 2 * m + 500
-    if needed > old_limit:
-        sys.setrecursionlimit(needed)
-    try:
-        return count_state((s,) * m)
-    finally:
-        if needed > old_limit:
-            sys.setrecursionlimit(old_limit)
+def _allocations(classes, t: int, cap_next: int, comb_rows):
+    """Yield (child state, labelings) for every way to spend one column.
+
+    classes holds the state's (deficit, multiplicity) pairs; each row takes
+    an amount in [max(0, v - cap_next), min(v, t)] and the amounts sum to t.
+    A stack entry (ci, a, rows, rem, ways, parts) still has to hand amounts
+    <= a to `rows` rows of class ci, then fill the later classes, with rem
+    units left; parts holds the (new deficit, count) pairs chosen so far.
+    Only entries that can still be completed are pushed.
+    """
+    last = len(classes) - 1
+    lo = [max(0, v - cap_next) for v, _ in classes]
+    # fewest and most units the classes after ci can absorb
+    min_after = [0] * (last + 2)
+    max_after = [0] * (last + 2)
+    for ci in range(last, 0, -1):
+        v, mu = classes[ci]
+        min_after[ci] = min_after[ci + 1] + mu * lo[ci]
+        max_after[ci] = max_after[ci + 1] + mu * min(v, t)
+    stack = [(0, t, classes[0][1], t, 1, ())]
+    while stack:
+        ci, a, rows, rem, ways, parts = stack.pop()
+        if rows == 0:
+            ci += 1
+            rows, a = classes[ci][1], rem
+        v = classes[ci][0]
+        # plain comparisons, not min()/max(): this loop runs once per
+        # allocation, and the calls cost about a third of its time
+        if a > v:
+            a = v
+        if a > rem:
+            a = rem
+        low = lo[ci]
+        lo_after, hi_after = min_after[ci + 1], max_after[ci + 1]
+        # every remaining row of the class takes the lower bound
+        left = rem - rows * low
+        if lo_after <= left <= hi_after:
+            child = parts + ((v - low, rows),) if v > low else parts
+            if ci == last:
+                yield _merge(child), ways
+            else:
+                stack.append((ci, low, 0, left, ways, child))
+        # k >= 1 rows take amount b, the rest of the class takes less
+        comb_left = comb_rows[rows]
+        for b in range(a, low, -1):
+            kmin = rem - hi_after - rows * (b - 1)
+            if kmin > rows:
+                break
+            kmax = (left - lo_after) // (b - low)
+            if kmin < 1:
+                kmin = 1
+            if kmax > rows:
+                kmax = rows
+            d = v - b
+            for k in range(kmin, kmax + 1):
+                child = parts + ((d, k),) if d else parts
+                if k == rows and ci == last:
+                    yield _merge(child), ways * comb_left[k]
+                else:
+                    stack.append((ci, b - 1, rows - k, rem - k * b,
+                                  ways * comb_left[k], child))
+
+
+def _merge(parts) -> tuple[tuple[int, int], ...]:
+    """Canonical state: (deficit, count) pairs sorted, equal deficits merged."""
+    if len(parts) < 2:
+        return parts
+    parts = sorted(parts)
+    out = parts[:1]
+    for d, c in parts[1:]:
+        if d == out[-1][0]:
+            out[-1] = (d, out[-1][1] + c)
+        else:
+            out.append((d, c))
+    return tuple(out)
 
 
 def count_bruteforce(spec: TableSpec) -> int:
@@ -201,47 +206,35 @@ def count_bruteforce(spec: TableSpec) -> int:
     return place(0, (0,) * n)
 
 
-def _two_column_count(classes: list[list[int]], t: int, m: int) -> int:
+def _two_column_count(classes, t: int) -> int:
     """Labeled solutions of sum(x_i) = t with max(0, v_i - t) <= x_i <= min(v_i, t).
 
     classes holds (deficit value, multiplicity) pairs.  Standard inclusion
     exclusion over per-class bound violations after shifting each x to its
-    lower bound; multiplicities keep the subset walk to prod(mu + 1) terms.
+    lower bound; terms are keyed by the units they leave, so equal
+    remainders are summed once.
     """
-    from math import comb
-
+    rows = 0
     shifted = t
     caps = []
     for v, mu in classes:
-        lo = max(0, v - t)
-        hi = min(v, t)
+        lo, hi = max(0, v - t), min(v, t)
         if hi < lo:
             return 0
+        rows += mu
         shifted -= mu * lo
-        caps.append((hi - lo, mu))
+        caps.append((hi - lo + 1, mu))
     if shifted < 0:
         return 0
-
-    total = 0
-
-    def walk(ci: int, sign: int, choose: int, rem: int):
-        nonlocal total
-        if rem < 0:
-            return
-        if ci == len(caps):
-            total += sign * choose * comb(rem + m - 1, m - 1)
-            return
-        cap, mu = caps[ci]
-        step = cap + 1
-        for j in range(mu + 1):
-            over = j * step
-            if over > rem:
-                break
-            walk(ci + 1, sign if j % 2 == 0 else -sign,
-                 choose * comb(mu, j), rem - over)
-
-    walk(0, 1, 1, shifted)
-    return total
+    terms = {shifted: 1}       # units left -> signed count of violation sets
+    for step, mu in caps:
+        nxt: dict[int, int] = {}
+        for rem, weight in terms.items():
+            for j in range(min(mu, rem // step) + 1):
+                key = rem - j * step
+                nxt[key] = nxt.get(key, 0) + (-1) ** j * comb(mu, j) * weight
+        terms = nxt
+    return sum(w * comb(rem + rows - 1, rows - 1) for rem, w in terms.items())
 
 
 def _compositions(total: int, parts: int):

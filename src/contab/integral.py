@@ -52,7 +52,7 @@ def integrand(spec: TableSpec, theta, phi) -> complex:
     Angle sums are reduced modulo 2*pi before the complex exponential so the
     phase stays accurate for large margins.
     """
-    lam = _positive_lambda(spec)
+    lam = float(spec.positive_density())
     theta = [float(x) for x in theta]
     phi = [float(x) for x in phi]
     if len(theta) != spec.m or len(phi) != spec.n:
@@ -83,7 +83,7 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
                      max_evals: int | None = None,
                      max_dims: int = MAX_DIMENSIONS) -> complex:
     """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid."""
-    lam = _positive_lambda(spec)
+    lam = float(spec.positive_density())
     max_evals = DEFAULT_MAX_EVALS if max_evals is None else max_evals
     if spec.m + spec.n > max_dims:
         raise InvalidSpecError(
@@ -119,9 +119,7 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
 
 def reconstruct_count(spec: TableSpec, integral_value: complex) -> float:
     """Turn a numeric integral into the count it represents."""
-    lam = spec.density
-    if lam == 0:
-        raise InvalidSpecError("reconstruction needs positive margins")
+    lam = spec.positive_density()
     ent = (-float(lam) * math.log(lam)
            + float(1 + lam) * math.log(1 + lam))
     log_scale = spec.m * spec.n * ent - (spec.m + spec.n) * math.log(TWO_PI)
@@ -212,14 +210,6 @@ def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakI
         lam=float(lam), k=float(k), ratio=ratio, log_ratio=math.log(ratio),
         log_bound=envelope_constant * (1.0 / k + 1.0 / (a * k)),
         envelope_constant=envelope_constant)
-
-
-def _positive_lambda(spec: TableSpec) -> float:
-    lam = spec.density
-    if lam == 0:
-        raise InvalidSpecError(
-            f"integral representation needs positive margins, got s={spec.s}")
-    return float(lam)
 
 
 def _gaussian_coeff(lam) -> float:

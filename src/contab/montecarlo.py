@@ -127,7 +127,7 @@ def enumerate_proposal(spec: TableSpec):
     reproduces the exact count; these are the facts the unbiasedness tests
     assert.  Desk-scale specs only.
     """
-    _positive_density(spec)
+    spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     results: list[tuple[tuple[tuple[int, ...], ...], Fraction]] = []
     column_major: list[list[int]] = [[0] * m for _ in range(n)]
@@ -186,7 +186,7 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
 
     Margins of every sampled table are asserted before returning.
     """
-    _positive_density(spec)
+    spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
@@ -288,9 +288,3 @@ def _log_spread_table(max_value: int, max_parts: int) -> list[np.ndarray]:
                             for v in range(max_value + 1)])
         tab.append(row)
     return tab
-
-
-def _positive_density(spec: TableSpec) -> None:
-    if spec.density == 0:
-        raise InvalidSpecError(
-            f"importance sampling needs positive margins, got s={spec.s}")

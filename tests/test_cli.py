@@ -48,6 +48,11 @@ def test_count_large_value_is_decimal_string():
     assert rec["value"] == "2792071358042944601350"
 
 
+def test_count_deep_sparse_shape():
+    rec = run_json("count", "200", "1", "200", "1")
+    assert rec["value"] == str(math.factorial(200))
+
+
 def test_unbalanced_margins_diagnostic_and_exit_code():
     code, out, err = run("count", "2", "3", "3", "1")
     assert code == 1

@@ -111,12 +111,6 @@ def test_h_vector_nonnegative_and_sums_to_normalized_volume():
         assert total == math.factorial(poly.degree) * leading_coefficient(poly)
 
 
-def test_threads_do_not_change_result():
-    a = ehrhart_polynomial(3, 3, threads=1)
-    b = ehrhart_polynomial(3, 3, threads=3)
-    assert a == b
-
-
 def test_counterfeit_counter_caught_by_validation():
     # a counter that is wrong only past the interpolation nodes still trips
     # the held-out check at q = degree + 1

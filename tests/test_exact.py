@@ -1,5 +1,8 @@
 """Exact counting: brute-force cross-checks, closed forms, resource caps."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from contab.core import InvalidSpecError, ResourceLimitError, make_spec
@@ -67,6 +70,27 @@ def test_transpose_symmetry():
 def test_magic_square_anchor():
     # classic 3x3 value, feasible in well under the stated 5 s budget
     assert count_exact(make_spec(3, 100, 3, 100)) == 13268976
+
+
+def test_permutation_matrices_200():
+    assert count_exact(make_spec(200, 1, 200, 1)) == math.factorial(200)
+
+
+def test_two_per_line_closed_form_150():
+    # k entries equal to 2; the rest is a 2-regular bipartite multigraph
+    n, f = 150, math.factorial
+    want = sum(Fraction(f(n) ** 2 * f(2 * n - 2 * k),
+                        f(k) * f(n - k) ** 2 * 2 ** (2 * n - k))
+               for k in range(n + 1))
+    assert count_exact(make_spec(n, 2, n, 2)) == want
+
+
+def test_column_totals_near_1000():
+    # the first row (x1, x2, x3) in [0, 1000]^3 sums to 1500 and fixes the
+    # second; count it by inclusion-exclusion over the entries above 1000
+    want = sum((-1) ** j * math.comb(3, j) * math.comb(1500 - 1001 * j + 2, 2)
+               for j in range(4) if 1001 * j <= 1500)
+    assert count_exact(make_spec(2, 1500, 3, 1000)) == want
 
 
 def test_state_cap_raises_with_diagnostics():
