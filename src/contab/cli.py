@@ -33,6 +33,7 @@ _ESTIMATE_METHODS = {
     "thm1": estimators.refined_estimate,
     "thm1-closed": estimators.closed_form_estimate,
     "cor1": estimators.high_density_estimate,
+    "conj1": estimators.bracket_interval,
 }
 
 
@@ -70,52 +71,40 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-evals",
                         default=_env_int("CONTAB_MAX_EVALS", integral.DEFAULT_MAX_EVALS),
                         type=int, help="evaluation budget for counting and quadrature")
+    shape = argparse.ArgumentParser(add_help=False)
+    for name in ("m", "s", "n", "t"):
+        shape.add_argument(name, type=int)
 
     parser = _Parser(prog="contab",
                      description="Count and estimate nonnegative integer "
                                  "matrices with constant row and column sums.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def spec_args(p):
-        p.add_argument("m", type=int)
-        p.add_argument("s", type=int)
-        p.add_argument("n", type=int)
-        p.add_argument("t", type=int)
+    def add(name, summary):
+        return sub.add_parser(name, parents=[common, shape], help=summary)
 
-    p = sub.add_parser("count", parents=[common], help="exact count")
-    spec_args(p)
+    add("count", "exact count")
+    p = add("estimate", "closed-form estimates")
+    p.add_argument("--method", required=True, choices=tuple(_ESTIMATE_METHODS))
+    add("decompose", "independence decomposition M = N*P1*P2*E")
 
-    p = sub.add_parser("estimate", parents=[common], help="closed-form estimates")
-    p.add_argument("--method", required=True,
-                   choices=("good", "thm1", "thm1-closed", "cor1", "conj1"))
-    spec_args(p)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="independence decomposition M = N*P1*P2*E")
-    spec_args(p)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="all estimates side by side, plus exact when feasible")
-    spec_args(p)
+    p = add("compare", "all estimates side by side, plus exact when feasible")
     p.add_argument("--mc-samples", type=int, default=None,
                    help="add a Monte Carlo column with this many samples")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("mc", parents=[common], help="importance-sampling estimate")
-    spec_args(p)
+    p = add("mc", "importance-sampling estimate")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ehrhart", parents=[common],
                        help="lattice-point polynomial of the margin polytope")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    for name in ("m", "n"):
+        p.add_argument(name, type=int)
     p.add_argument("--eval", dest="eval_at", type=int, default=None,
                    metavar="Q", help="also evaluate the polynomial at Q")
 
-    p = sub.add_parser("verify-integral", parents=[common],
-                       help="reconstruct the count from the torus integral")
-    spec_args(p)
+    p = add("verify-integral", "reconstruct the count from the torus integral")
     p.add_argument("--grid", type=int, required=True, help="points per dimension")
     p.add_argument("--max-dims", type=int, default=integral.MAX_DIMENSIONS,
                    help="dimension cap m+n for the grid")
@@ -126,15 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-k", type=float, default=1e4,
                    help="sharpness parameter K for the peak-width check")
 
-    p = sub.add_parser("check-hypothesis", parents=[common],
-                       help="applicability diagnostic (1+2l)^2/(4l(1+l)) * (1+5m/6n+5n/6m)")
-    spec_args(p)
+    p = add("check-hypothesis",
+            "applicability diagnostic (1+2l)^2/(4l(1+l)) * (1+5m/6n+5n/6m)")
     p.add_argument("--a", type=float, default=None,
                    help="require lhs >= a * ln(n)")
 
-    p = sub.add_parser("delta", parents=[common],
-                       help="bracket position of the exact count")
-    spec_args(p)
+    add("delta", "bracket position of the exact count")
     return parser
 
 
@@ -145,7 +131,15 @@ def main(argv=None) -> int:
         print(f"contab: error: {err}", file=sys.stderr)
         return 1
     try:
-        record = _dispatch(args)
+        if args.command == "ehrhart":
+            spec, record = None, {"command": "ehrhart", "m": args.m, "n": args.n}
+        else:
+            spec = make_spec(args.m, args.s, args.n, args.t)
+            record = {"command": args.command, "m": spec.m, "s": spec.s,
+                      "n": spec.n, "t": spec.t, "density": str(spec.density)}
+        start = time.perf_counter()
+        record.update(_COMMANDS[args.command](args, spec))
+        record["runtime_s"] = round(time.perf_counter() - start, 6)
     except InvalidSpecError as err:
         print(f"contab: error: {err}", file=sys.stderr)
         return 1
@@ -156,180 +150,134 @@ def main(argv=None) -> int:
     return 0
 
 
-def _dispatch(args) -> dict:
-    handler = {
-        "count": _cmd_count,
-        "estimate": _cmd_estimate,
-        "decompose": _cmd_decompose,
-        "compare": _cmd_compare,
-        "mc": _cmd_mc,
-        "ehrhart": _cmd_ehrhart,
-        "verify-integral": _cmd_verify_integral,
-        "check-hypothesis": _cmd_check_hypothesis,
-        "delta": _cmd_delta,
-    }[args.command]
-    start = time.perf_counter()
-    record = handler(args)
-    record["runtime_s"] = round(time.perf_counter() - start, 6)
-    return record
+def _exact(args, spec) -> int:
+    return exact.count_exact(spec, max_states=args.max_states, max_work=args.max_evals)
 
 
-def _spec_fields(spec) -> dict:
-    return {"command": None, "m": spec.m, "s": spec.s, "n": spec.n, "t": spec.t,
-            "density": str(spec.density)}
+def _exact_or_reason(args, spec):
+    """(count, None), or (None, why) when a resource cap stopped the count."""
+    try:
+        return _exact(args, spec), None
+    except ResourceLimitError as err:
+        return None, str(err)
 
 
-def _cmd_count(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
-    value = exact.count_exact(spec, max_states=args.max_states,
-                              max_work=args.max_evals)
-    record = _spec_fields(spec)
-    record.update(command="count", value=str(value))
-    return record
+def _count(args, spec) -> dict:
+    return {"value": str(_exact(args, spec))}
 
 
-def _cmd_estimate(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
-    record = _spec_fields(spec)
-    record.update(command="estimate", method=args.method, error_terms="omitted")
+def _estimate(args, spec) -> dict:
+    est = _ESTIMATE_METHODS[args.method](spec)
+    fields = {"method": args.method, "error_terms": "omitted",
+              "value": est.scientific(args.digits)}
     if args.method == "conj1":
-        interval = estimators.bracket_interval(spec)
-        record.update(
-            value=interval.scientific(args.digits),
-            low=LogEstimate(interval.low.log_value).scientific(args.digits),
-            mid=LogEstimate(interval.log_midpoint()).scientific(args.digits),
-            high=LogEstimate(interval.high.log_value).scientific(args.digits),
-            log10_low=interval.low.log10, log10_high=interval.high.log10)
+        fields.update(low=est.low.scientific(args.digits),
+                      mid=LogEstimate(est.log_midpoint()).scientific(args.digits),
+                      high=est.high.scientific(args.digits),
+                      log10_low=est.low.log10, log10_high=est.high.log10)
     else:
-        est = _ESTIMATE_METHODS[args.method](spec)
         mant, expo = est.mantissa_exponent()
-        record.update(value=est.scientific(args.digits), mantissa=mant,
-                      exponent=expo, log10=est.log10)
-    return record
+        fields.update(mantissa=mant, exponent=expo, log10=est.log10)
+    return fields
 
 
-def _cmd_decompose(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
-    count = exact.count_exact(spec, max_states=args.max_states,
-                              max_work=args.max_evals)
+def _decompose(args, spec) -> dict:
+    count = _exact(args, spec)
     dec = estimators.independence_decomposition(spec, count)
-    record = _spec_fields(spec)
-    record.update(command="decompose", exact=str(count),
-                  placements=str(dec.n_placements),
-                  p_rows=str(dec.p_rows), p_cols=str(dec.p_cols),
-                  dependence=str(dec.dependence),
-                  dependence_float=float(dec.dependence))
-    return record
+    return {"exact": str(count), "placements": str(dec.n_placements),
+            "p_rows": str(dec.p_rows), "p_cols": str(dec.p_cols),
+            "dependence": str(dec.dependence),
+            "dependence_float": float(dec.dependence)}
 
 
-def _cmd_compare(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
-    record = _spec_fields(spec)
-    record.update(
-        command="compare",
-        good=estimators.good_estimate(spec).scientific(args.digits),
-        thm1=estimators.refined_estimate(spec).scientific(args.digits),
-        thm1_closed=estimators.closed_form_estimate(spec).scientific(args.digits),
-        cor1=estimators.high_density_estimate(spec).scientific(args.digits),
-        conj1=estimators.bracket_interval(spec).scientific(args.digits),
-        error_terms="omitted")
+def _compare(args, spec) -> dict:
+    fields = {key.replace("-", "_"): method(spec).scientific(args.digits)
+              for key, method in _ESTIMATE_METHODS.items()}
+    fields["error_terms"] = "omitted"
     if args.mc_samples is not None:
         est = montecarlo.mc_estimate(spec, args.mc_samples, args.seed)
-        record.update(mc=est.mean.scientific(args.digits),
+        fields.update(mc=est.mean.scientific(args.digits),
                       mc_relative_se=est.relative_standard_error,
                       seed=est.seed, samples=est.sample_count)
-    try:
-        value = exact.count_exact(spec, max_states=args.max_states,
-                                  max_work=args.max_evals)
-        record.update(exact=str(value), exact_reason=None)
-    except ResourceLimitError as err:
-        record.update(exact=None, exact_reason=str(err))
-    return record
+    count, reason = _exact_or_reason(args, spec)
+    fields.update(exact=None if count is None else str(count), exact_reason=reason)
+    return fields
 
 
-def _cmd_mc(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
+def _mc(args, spec) -> dict:
     est = montecarlo.mc_estimate(spec, args.samples, args.seed)
-    record = _spec_fields(spec)
-    record.update(command="mc", value=est.mean.scientific(args.digits),
-                  log10_mean=est.mean.log10,
-                  relative_se=est.relative_standard_error,
-                  effective_sample_size=est.effective_sample_size,
-                  samples=est.sample_count, seed=est.seed)
-    return record
+    return {"value": est.mean.scientific(args.digits), "log10_mean": est.mean.log10,
+            "relative_se": est.relative_standard_error,
+            "effective_sample_size": est.effective_sample_size,
+            "samples": est.sample_count, "seed": est.seed}
 
 
-def _cmd_ehrhart(args) -> dict:
+def _ehrhart(args, spec) -> dict:
     poly = ehrhart.ehrhart_polynomial(args.m, args.n, max_states=args.max_states,
                                       max_work=args.max_evals)
-    record = {"command": "ehrhart", "m": args.m, "n": args.n,
-              "s0": poly.s0, "t0": poly.t0, "degree": poly.degree,
+    fields = {"s0": poly.s0, "t0": poly.t0, "degree": poly.degree,
               "coefficients": [str(c) for c in poly.coefficients],
               "h_vector": list(poly.h_vector),
               "leading": str(ehrhart.leading_coefficient(poly))}
     if args.eval_at is not None:
-        record["eval_at"] = args.eval_at
-        record["value"] = str(ehrhart.evaluate(poly, args.eval_at))
-    return record
+        fields.update(eval_at=args.eval_at,
+                      value=str(ehrhart.evaluate(poly, args.eval_at)))
+    return fields
 
 
-def _cmd_verify_integral(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
+def _verify_integral(args, spec) -> dict:
     value = integral.integral_numeric(spec, args.grid, max_evals=args.max_evals,
                                       max_dims=args.max_dims)
     reconstructed = integral.reconstruct_count(spec, value)
-    record = _spec_fields(spec)
-    record.update(command="verify-integral", grid=args.grid,
-                  integral_real=value.real, integral_imag=value.imag,
-                  reconstructed=reconstructed)
-    try:
-        count = exact.count_exact(spec, max_states=args.max_states,
-                                  max_work=args.max_evals)
-        record.update(exact=str(count),
+    fields = {"grid": args.grid, "integral_real": value.real,
+              "integral_imag": value.imag, "reconstructed": reconstructed}
+    count, reason = _exact_or_reason(args, spec)
+    if count is None:
+        fields.update(exact=None, exact_reason=reason)
+    else:
+        fields.update(exact=str(count),
                       relative_error=abs(reconstructed - count) / count)
-    except ResourceLimitError as err:
-        record.update(exact=None, exact_reason=str(err))
     if args.bounds:
         env = integral.envelope_check(spec.density, seed=args.m)
         peak = integral.peak_integral_check(spec.density, args.bound_k,
                                             args.envelope_constant)
-        record.update(envelope_violations=env.violations,
+        fields.update(envelope_violations=env.violations,
                       envelope_max_slack=env.max_slack,
-                      peak_ratio=peak.ratio,
-                      peak_within_bound=peak.within_bound)
-    return record
+                      peak_ratio=peak.ratio, peak_within_bound=peak.within_bound)
+    return fields
 
 
-def _cmd_check_hypothesis(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
+def _check_hypothesis(args, spec) -> dict:
     lhs = estimators.hypothesis_lhs(spec)
-    record = _spec_fields(spec)
-    record.update(command="check-hypothesis", lhs=str(lhs),
-                  lhs_float=float(lhs),
-                  min_coefficient=estimators.hypothesis_min_coefficient(spec))
+    fields = {"lhs": str(lhs), "lhs_float": float(lhs),
+              "min_coefficient": estimators.hypothesis_min_coefficient(spec)}
     if args.a is not None:
         threshold = args.a * math.log(spec.n)
-        record.update(a=args.a, threshold=threshold,
+        fields.update(a=args.a, threshold=threshold,
                       satisfied=bool(float(lhs) >= threshold))
-    return record
+    return fields
 
 
-def _cmd_delta(args) -> dict:
-    spec = make_spec(args.m, args.s, args.n, args.t)
-    count = exact.count_exact(spec, max_states=args.max_states,
-                              max_work=args.max_evals)
-    record = _spec_fields(spec)
-    record.update(command="delta", exact=str(count),
-                  delta=estimators.bracket_delta(spec, count))
-    return record
+def _delta(args, spec) -> dict:
+    count = _exact(args, spec)
+    return {"exact": str(count), "delta": estimators.bracket_delta(spec, count)}
+
+
+_COMMANDS = {
+    "count": _count,
+    "estimate": _estimate,
+    "decompose": _decompose,
+    "compare": _compare,
+    "mc": _mc,
+    "ehrhart": _ehrhart,
+    "verify-integral": _verify_integral,
+    "check-hypothesis": _check_hypothesis,
+    "delta": _delta,
+}
 
 
 def render(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(record)
-    if fmt == "csv":
-        return render_csv(record)
-    return render_text(record)
+    return {"json": render_json, "csv": render_csv}.get(fmt, render_text)(record)
 
 
 def render_json(record: dict) -> str:
@@ -339,18 +287,14 @@ def render_json(record: dict) -> str:
 def render_csv(record: dict) -> str:
     flat = {k: _csv_cell(v) for k, v in sorted(record.items())}
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat), lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(flat)
+    csv.writer(buf, lineterminator="\n").writerows([list(flat), list(flat.values())])
     return buf.getvalue()
 
 
 def _csv_cell(value):
-    if value is None:
-        return ""
     if isinstance(value, (list, tuple)):
         return ";".join(str(v) for v in value)
-    return value
+    return "" if value is None else value
 
 
 def render_text(record: dict) -> str:
@@ -375,8 +319,7 @@ def _render_compare_table(record: dict) -> str:
                ("bracket", record["conj1"])]
     if "mc" in record:
         columns.append(("mc", record["mc"]))
-    exact_cell = record["exact"] if record["exact"] is not None else "(capped)"
-    columns.append(("exact", exact_cell))
+    columns.append(("exact", "(capped)" if record["exact"] is None else record["exact"]))
     widths = [max(len(name), len(str(cell))) for name, cell in columns]
     header = "  ".join(name.ljust(w) for (name, _), w in zip(columns, widths))
     row = "  ".join(str(cell).ljust(w) for (_, cell), w in zip(columns, widths))

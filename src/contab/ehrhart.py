@@ -42,9 +42,6 @@ class EhrhartPolynomial:
     coefficients: tuple[Fraction, ...]   # monomial basis, constant first
     h_vector: tuple[int, ...]
 
-    def value_at(self, q: int) -> int:
-        return evaluate(self, q)
-
 
 def ehrhart_polynomial(m: int, n: int, counter=None, *,
                        max_states: int | None = None,
@@ -140,10 +137,7 @@ def _h_vector(values: list[int], d: int) -> tuple[int, ...]:
         acc = values[q]
         for r in range(q):
             acc -= h[r] * comb(q + d - r, d)
-        rem = comb(q + d - q, d)   # == 1, coefficient of h[q]
-        h[q] = acc // rem
-        if h[q] * rem != acc:
-            raise ArithmeticError(f"h-vector entry {q} is not an integer")
+        h[q] = acc   # the coefficient of h[q] is C(d, d) = 1
         if h[q] < 0:
             raise ArithmeticError(
                 f"h-vector entry {q} is negative ({h[q]}); "

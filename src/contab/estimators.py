@@ -50,18 +50,15 @@ from .core import (EstimateInterval, InvalidSpecError, LogEstimate, TableSpec,
 
 @dataclass(frozen=True)
 class SaddleParams:
-    """Saddle-point quantities shared by the estimate and integral modules."""
+    """Exact saddle-point quantities of the closed-form estimate."""
 
     density: Fraction           # lam = s/n = t/m
     gaussian_coeff: Fraction    # A = lam * (1 + lam) / 2
-    contour_radius: float       # r = sqrt(lam / (1 + lam))
 
 
 def saddle_params(spec: TableSpec) -> SaddleParams:
     lam = spec.positive_density()
-    a = lam * (1 + lam) / 2
-    r = math.sqrt(lam / (1 + lam))
-    return SaddleParams(density=lam, gaussian_coeff=a, contour_radius=r)
+    return SaddleParams(density=lam, gaussian_coeff=lam * (1 + lam) / 2)
 
 
 def good_log(spec: TableSpec) -> float:
@@ -85,9 +82,9 @@ def refined_estimate(spec: TableSpec) -> LogEstimate:
 
 def closed_form_estimate(spec: TableSpec) -> LogEstimate:
     """Fully expanded second-order form (CLI method token: thm1-closed)."""
-    lam = spec.positive_density()
+    params = saddle_params(spec)
+    lam, a = params.density, params.gaussian_coeff
     m, n = spec.m, spec.n
-    a = lam * (1 + lam) / 2
     entropy = -float(lam) * log_of_fraction(lam) \
         + float(1 + lam) * log_of_fraction(1 + lam)
     shape = Fraction(m, n) + Fraction(n, m)

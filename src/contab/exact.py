@@ -25,8 +25,10 @@ Counts are exact Python ints throughout.  Two budgets bound the computation:
 a state cap on the states held in the layer being built, checked as each
 new state is inserted, and a work budget on enumerated allocations.
 Exceeding either raises ResourceLimitError; a wrong answer is never returned.
-A layer never holds more states than the allocations that made it, so with
-max_states > max_work the work budget always trips first.
+The state cap is the memory guard: each state it counts costs up to about
+a kilobyte, the layer being expanded included, so the default 2**20 keeps a
+pass near a gigabyte, while the default work budget alone would admit far
+more states than that.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -38,7 +40,7 @@ from math import comb
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
 
-DEFAULT_MAX_STATES = 2 ** 28
+DEFAULT_MAX_STATES = 2 ** 20
 DEFAULT_MAX_WORK = 10 ** 9
 
 BRUTEFORCE_MAX_CELLS = 12
@@ -49,7 +51,7 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
                 max_work: int | None = None) -> int:
     """Exact number of matrices with the given margins.
 
-    max_states caps the states held in one column layer (default 2**28);
+    max_states caps the states held in one column layer (default 2**20);
     max_work caps the total number of enumerated column allocations
     (default 10**9).  Pass None for a default.
     """

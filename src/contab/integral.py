@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -213,8 +212,6 @@ def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakI
 
 
 def _gaussian_coeff(lam) -> float:
-    if isinstance(lam, Fraction):
-        lam = float(lam)
     lam = float(lam)
     if lam <= 0:
         raise InvalidSpecError(f"density must be positive, got {lam}")

@@ -239,6 +239,50 @@ def test_delta_inside_open_interval():
     assert rec["exact"] == "44"
 
 
+_SPEC = {"command", "m", "s", "n", "t", "density", "runtime_s"}
+_ESTIMATE_COLUMNS = {"good", "thm1", "thm1_closed", "cor1", "conj1", "error_terms",
+                     "exact", "exact_reason"}
+_INTEGRAL = {"grid", "integral_real", "integral_imag", "reconstructed", "exact",
+             "relative_error"}
+
+
+_FIELD_CASES = [
+    (["count", "2", "2", "2", "2"], _SPEC | {"value"}),
+    (["estimate", "2", "2", "2", "2", "--method", "good"],
+     _SPEC | {"method", "error_terms", "value", "mantissa", "exponent", "log10"}),
+    (["estimate", "2", "2", "2", "2", "--method", "conj1"],
+     _SPEC | {"method", "error_terms", "value", "low", "mid", "high",
+              "log10_low", "log10_high"}),
+    (["decompose", "2", "2", "2", "2"],
+     _SPEC | {"exact", "placements", "p_rows", "p_cols", "dependence",
+              "dependence_float"}),
+    (["compare", "2", "2", "2", "2"], _SPEC | _ESTIMATE_COLUMNS),
+    (["compare", "2", "2", "2", "2", "--mc-samples", "50"],
+     _SPEC | _ESTIMATE_COLUMNS | {"mc", "mc_relative_se", "seed", "samples"}),
+    (["compare", "10", "20", "10", "20", "--max-states", "500"],
+     _SPEC | _ESTIMATE_COLUMNS),
+    (["mc", "2", "2", "2", "2", "--samples", "50"],
+     _SPEC | {"value", "log10_mean", "relative_se", "effective_sample_size",
+              "samples", "seed"}),
+    (["ehrhart", "2", "2"],
+     {"command", "m", "n", "runtime_s", "s0", "t0", "degree", "coefficients",
+      "h_vector", "leading"}),
+    (["verify-integral", "2", "2", "2", "2", "--grid", "8"], _SPEC | _INTEGRAL),
+    (["verify-integral", "2", "1", "2", "1", "--grid", "8", "--bounds"],
+     _SPEC | _INTEGRAL | {"envelope_violations", "envelope_max_slack",
+                          "peak_ratio", "peak_within_bound"}),
+    (["check-hypothesis", "2", "2", "2", "2"],
+     _SPEC | {"lhs", "lhs_float", "min_coefficient"}),
+    (["delta", "2", "2", "2", "2"], _SPEC | {"exact", "delta"}),
+]
+
+
+@pytest.mark.parametrize("argv, fields", _FIELD_CASES,
+                         ids=["-".join(argv) for argv, _ in _FIELD_CASES])
+def test_record_field_sets(argv, fields):
+    assert sorted(run_json(*argv)) == sorted(fields)
+
+
 def test_env_var_default_for_state_cap(monkeypatch):
     monkeypatch.setenv("CONTAB_MAX_STATES", "700")
     code, _, err = run("count", "10", "20", "10", "20")

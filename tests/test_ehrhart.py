@@ -142,12 +142,6 @@ def test_evaluate_validation():
         evaluate(poly, True)
 
 
-def test_value_at_matches_evaluate():
-    poly = ehrhart_polynomial(3, 3)
-    for q in (0, 1, 4, 50):
-        assert poly.value_at(q) == evaluate(poly, q)
-
-
 def test_shape_validation():
     with pytest.raises(InvalidSpecError):
         ehrhart_polynomial(0, 3)

@@ -224,14 +224,12 @@ def test_saddle_params_unit_density():
     p = saddle_params(make_spec(2, 2, 2, 2))
     assert p.density == 1
     assert p.gaussian_coeff == 1
-    assert math.isclose(p.contour_radius, math.sqrt(0.5), rel_tol=1e-15)
 
 
 def test_saddle_params_exact_rationals():
     p = saddle_params(make_spec(3, 100, 3, 100))
     assert p.density == Fraction(100, 3)
     assert p.gaussian_coeff == Fraction(1, 2) * Fraction(100, 3) * Fraction(103, 3)
-    assert math.isclose(p.contour_radius, math.sqrt(100 / 103), rel_tol=1e-15)
 
 
 def test_transpose_invariance_of_all_estimates():
