@@ -23,7 +23,6 @@ from .core import (
 from .ehrhart import EhrhartPolynomial, ehrhart_polynomial, evaluate, leading_coefficient
 from .estimators import (
     CountDecomposition,
-    SaddleParams,
     bracket_delta,
     bracket_interval,
     bracket_log_value,
@@ -35,7 +34,6 @@ from .estimators import (
     hypothesis_min_coefficient,
     independence_decomposition,
     refined_estimate,
-    saddle_params,
 )
 from .exact import count_bruteforce, count_exact
 from .integral import (
@@ -62,7 +60,6 @@ __all__ = [
     "McEstimate",
     "PeakIntegralReport",
     "ResourceLimitError",
-    "SaddleParams",
     "TableSpec",
     "bracket_delta",
     "bracket_interval",
@@ -91,7 +88,6 @@ __all__ = [
     "peak_integral_check",
     "reconstruct_count",
     "refined_estimate",
-    "saddle_params",
     "sample_table",
     "__version__",
 ]

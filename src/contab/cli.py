@@ -6,7 +6,8 @@ Ehrhart polynomials, quadrature verification of the integral identity, and
 the applicability diagnostic.
 
 Records go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
-domain error (bad arguments, unbalanced margins), 2 resource cap hit.
+domain error (bad arguments, unbalanced margins, margins too large for a
+float method), 2 resource cap hit or out of memory.
 Exact counts are always emitted as full decimal strings; every stochastic
 record carries its seed.  JSON is the canonical format (sorted keys, Python
 repr floats, byte-stable on round-trip); CSV flattens interval results into
@@ -143,8 +144,14 @@ def main(argv=None) -> int:
     except InvalidSpecError as err:
         print(f"contab: error: {err}", file=sys.stderr)
         return 1
+    except OverflowError as err:
+        print(f"contab: error: margins too large for floats: {err}", file=sys.stderr)
+        return 1
     except ResourceLimitError as err:
         print(f"contab: resource limit: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("contab: resource limit: out of memory", file=sys.stderr)
         return 2
     sys.stdout.write(render(record, args.format))
     return 0

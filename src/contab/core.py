@@ -114,6 +114,22 @@ def log_of_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def gaussian_coeff(lam):
+    """A = lam(1+lam)/2, the Gaussian width of one cell's integrand factor.
+
+    Exact for a Fraction, a float for a float; the density must be positive.
+    """
+    if lam <= 0:
+        raise InvalidSpecError(f"density must be positive, got {lam}")
+    return lam * (1 + lam) / 2
+
+
+def cell_entropy(lam: Fraction) -> float:
+    """H(lam) = -lam log(lam) + (1+lam) log(1+lam), the log growth per cell."""
+    return (-float(lam) * log_of_fraction(lam)
+            + float(1 + lam) * log_of_fraction(1 + lam))
+
+
 def _mantissa_exponent(log_value: float) -> tuple[float, int]:
     l10 = log_value / LN10
     e = math.floor(l10)
@@ -128,13 +144,16 @@ def _mantissa_exponent(log_value: float) -> tuple[float, int]:
     return mant, e
 
 
-def _sci_string(log_value: float, digits: int) -> str:
+def _sci_parts(log_value: float, digits: int) -> tuple[str, int]:
+    """(mantissa rounded to `digits` significant digits, decimal exponent)."""
+    if digits < 1:
+        raise InvalidSpecError(f"digits must be >= 1, got {digits}")
     mant, e = _mantissa_exponent(log_value)
     body = f"{mant:.{digits - 1}f}"
     if float(body) >= 10.0:  # rounding pushed past the decade
         body = f"{mant / 10.0:.{digits - 1}f}"
         e += 1
-    return body if e == 0 else f"{body}e{e}"
+    return body, e
 
 
 @dataclass(frozen=True, order=True)
@@ -167,9 +186,8 @@ class LogEstimate:
 
     def scientific(self, digits: int = 4) -> str:
         """Rendering such as '1.019e7', round-half-even at `digits` digits."""
-        if digits < 1:
-            raise InvalidSpecError(f"digits must be >= 1, got {digits}")
-        return _sci_string(self.log_value, digits)
+        body, e = _sci_parts(self.log_value, digits)
+        return body if e == 0 else f"{body}e{e}"
 
 
 @dataclass(frozen=True)
@@ -206,18 +224,8 @@ class EstimateInterval:
         Midpoint and half-width share the midpoint's decimal exponent so the
         two mantissas are directly comparable.
         """
-        mid = self.log_midpoint()
-        half = self.log_halfwidth()
-        mant, e = _mantissa_exponent(mid)
-        mid_body = f"{mant:.{digits - 1}f}"
-        if float(mid_body) >= 10.0:
-            mid_body = f"{mant / 10.0:.{digits - 1}f}"
-            e += 1
-            mant /= 10.0
-        if half == -math.inf:
-            half_mant = 0.0
-        else:
-            half_mant = math.exp(half - e * LN10)
+        mid_body, e = _sci_parts(self.log_midpoint(), digits)
+        half_mant = math.exp(self.log_halfwidth() - e * LN10)   # 0.0 at -inf
         half_body = f"{half_mant:.{digits - 1}f}"
         suffix = "" if e == 0 else f"e{e}"
         return f"({mid_body} ± {half_body}){suffix}"

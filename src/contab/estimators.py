@@ -45,20 +45,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import (EstimateInterval, InvalidSpecError, LogEstimate, TableSpec,
-                   log_binomial, log_of_fraction)
-
-
-@dataclass(frozen=True)
-class SaddleParams:
-    """Exact saddle-point quantities of the closed-form estimate."""
-
-    density: Fraction           # lam = s/n = t/m
-    gaussian_coeff: Fraction    # A = lam * (1 + lam) / 2
-
-
-def saddle_params(spec: TableSpec) -> SaddleParams:
-    lam = spec.positive_density()
-    return SaddleParams(density=lam, gaussian_coeff=lam * (1 + lam) / 2)
+                   cell_entropy, gaussian_coeff, log_binomial, log_of_fraction)
 
 
 def good_log(spec: TableSpec) -> float:
@@ -82,13 +69,11 @@ def refined_estimate(spec: TableSpec) -> LogEstimate:
 
 def closed_form_estimate(spec: TableSpec) -> LogEstimate:
     """Fully expanded second-order form (CLI method token: thm1-closed)."""
-    params = saddle_params(spec)
-    lam, a = params.density, params.gaussian_coeff
+    lam = spec.positive_density()
+    a = gaussian_coeff(lam)
     m, n = spec.m, spec.n
-    entropy = -float(lam) * log_of_fraction(lam) \
-        + float(1 + lam) * log_of_fraction(1 + lam)
     shape = Fraction(m, n) + Fraction(n, m)
-    log_value = (m * n * entropy
+    log_value = (m * n * cell_entropy(lam)
                  - (m + n - 1) / 2 * math.log(4 * math.pi * float(a))
                  - (n - 1) / 2 * math.log(m)
                  - (m - 1) / 2 * math.log(n)

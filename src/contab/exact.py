@@ -64,7 +64,6 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
     if m == 1:
         return 1
 
-    comb_rows = _pascal(m)
     layer = {((s, m),): 1}
     work = 0
     for cols in range(n, 2, -1):
@@ -72,8 +71,7 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
         for state, ways in layer.items():
             assert sum(v * mu for v, mu in state) == cols * t, \
                 "mass conservation violated"
-            for child, labelings in _allocations(state, t, (cols - 1) * t,
-                                                 comb_rows):
+            for child, labelings in _allocations(state, t, (cols - 1) * t):
                 work += 1
                 if work > max_work:
                     raise ResourceLimitError(
@@ -99,7 +97,7 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
     return total
 
 
-def _allocations(classes, t: int, cap_next: int, comb_rows):
+def _allocations(classes, t: int, cap_next: int):
     """Yield (child state, labelings) for every way to spend one column.
 
     classes holds the state's (deficit, multiplicity) pairs; each row takes
@@ -142,7 +140,6 @@ def _allocations(classes, t: int, cap_next: int, comb_rows):
             else:
                 stack.append((ci, low, 0, left, ways, child))
         # k >= 1 rows take amount b, the rest of the class takes less
-        comb_left = comb_rows[rows]
         for b in range(a, low, -1):
             kmin = rem - hi_after - rows * (b - 1)
             if kmin > rows:
@@ -156,10 +153,10 @@ def _allocations(classes, t: int, cap_next: int, comb_rows):
             for k in range(kmin, kmax + 1):
                 child = parts + ((d, k),) if d else parts
                 if k == rows and ci == last:
-                    yield _merge(child), ways * comb_left[k]
+                    yield _merge(child), ways * comb(rows, k)
                 else:
                     stack.append((ci, b - 1, rows - k, rem - k * b,
-                                  ways * comb_left[k], child))
+                                  ways * comb(rows, k), child))
 
 
 def _merge(parts) -> tuple[tuple[int, int], ...]:
@@ -247,11 +244,3 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _pascal(nmax: int) -> list[list[int]]:
-    rows = [[1]]
-    for i in range(1, nmax + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, i)] + [1])
-    return rows

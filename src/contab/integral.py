@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import InvalidSpecError, ResourceLimitError, TableSpec
+from .core import (InvalidSpecError, ResourceLimitError, TableSpec, cell_entropy,
+                   gaussian_coeff)
 
 DEFAULT_MAX_EVALS = 10 ** 9
 MAX_DIMENSIONS = 6
@@ -74,7 +75,7 @@ def integrand(spec: TableSpec, theta, phi) -> complex:
 
 def modulus_factor(z, lam) -> float:
     """f(z) = (1 + 4A(1 - cos z))^-1/2, the modulus of one integrand factor."""
-    a = _gaussian_coeff(lam)
+    a = gaussian_coeff(float(lam))
     return (1.0 + 4.0 * a * (1.0 - np.cos(z))) ** -0.5
 
 
@@ -119,9 +120,8 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
 def reconstruct_count(spec: TableSpec, integral_value: complex) -> float:
     """Turn a numeric integral into the count it represents."""
     lam = spec.positive_density()
-    ent = (-float(lam) * math.log(lam)
-           + float(1 + lam) * math.log(1 + lam))
-    log_scale = spec.m * spec.n * ent - (spec.m + spec.n) * math.log(TWO_PI)
+    log_scale = (spec.m * spec.n * cell_entropy(lam)
+                 - (spec.m + spec.n) * math.log(TWO_PI))
     if log_scale > 700.0:
         raise InvalidSpecError(
             "reconstructed count overflows a float; this check is for desk-size specs")
@@ -151,7 +151,7 @@ def envelope_check(lam, samples: int = 100_000, seed: int = 0) -> EnvelopeReport
     like z^6 near the origin, far below double roundoff, so an exact float
     comparison would flag pure rounding noise.
     """
-    a = _gaussian_coeff(lam)
+    a = gaussian_coeff(float(lam))
     lam_f = float(lam)
     if samples < 1:
         raise InvalidSpecError(f"need at least one sample, got {samples}")
@@ -170,7 +170,7 @@ def envelope_check(lam, samples: int = 100_000, seed: int = 0) -> EnvelopeReport
 
 def quartic_envelope(x, lam) -> float:
     """g(x) = -A x^2 + (9A/4 + 27A^2) x^4 from the peak-width analysis."""
-    a = _gaussian_coeff(lam)
+    a = gaussian_coeff(float(lam))
     return -a * x ** 2 + (2.25 * a + 27.0 * a * a) * x ** 4
 
 
@@ -197,7 +197,7 @@ class PeakIntegralReport:
 
 def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakIntegralReport:
     """Check integral of exp(K g(x)) over |x| <= 30*arc_step against the peak value."""
-    a = _gaussian_coeff(lam)
+    a = gaussian_coeff(float(lam))
     if k <= 0:
         raise InvalidSpecError(f"need K > 0, got {k}")
     half = 30.0 * arc_step(lam)
@@ -209,10 +209,3 @@ def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakI
         lam=float(lam), k=float(k), ratio=ratio, log_ratio=math.log(ratio),
         log_bound=envelope_constant * (1.0 / k + 1.0 / (a * k)),
         envelope_constant=envelope_constant)
-
-
-def _gaussian_coeff(lam) -> float:
-    lam = float(lam)
-    if lam <= 0:
-        raise InvalidSpecError(f"density must be positive, got {lam}")
-    return 0.5 * lam * (1.0 + lam)

@@ -30,10 +30,13 @@ unbiased estimate of the count.  The weights are accumulated in log space
 since the counts of interest reach 1e127, but the lookahead is linear and
 scaled: row i's entry weights are kept as the ratios
 C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
-and each convolution is rescaled to a per-sample maximum of 1.  A factor
-that is constant for a sample cancels from every conditional, so only the
-draw's log z - log p(x) leaves linear space.  The last row of a column and
-the whole last column are forced and cost no draw.
+and each convolution is rescaled to a per-sample maximum of 1.  The ratios
+are evaluated per column with gammaln, only for the budgets r_i present in
+the chunk, so besides the chunk's own arrays only vectors of length s grow
+with the margins.  A factor that is constant for a sample cancels from
+every conditional, so only the draw's log z - log p(x) leaves linear space.
+The last row of a column and the whole last column are forced and cost no
+draw.
 
 Sample i is a pure function of (seed, i).  Samples run in chunks sized by a
 fixed byte budget; each chunk draws m*n uniforms per sample from the
@@ -49,11 +52,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from .core import InvalidSpecError, LogEstimate, TableSpec, log_binomial
+from .core import InvalidSpecError, LogEstimate, TableSpec
 
-_NEG_INF = float("-inf")
 # working set of one chunk of samples; of 2 to 64 MiB, 16 MiB ran the
 # 10x10, 3x100 and 30x30 benchmark shapes fastest together
 _CHUNK_BYTES = 16 << 20
@@ -96,7 +98,7 @@ def mc_estimate(spec: TableSpec, samples: int, seed: int = 0) -> McEstimate:
     # the difference nonnegative up to roundoff
     spread = -math.expm1(min(0.0, 2.0 * lse1 - log_n - lse2))
     if spread <= 0.0:
-        log_se = _NEG_INF
+        log_se = -math.inf
     else:
         log_var = lse2 + math.log(spread) - math.log(samples - 1)
         log_se = 0.5 * (log_var - log_n)
@@ -109,10 +111,8 @@ def mc_estimate(spec: TableSpec, samples: int, seed: int = 0) -> McEstimate:
 def sample_table(spec: TableSpec, rng) -> tuple[tuple[tuple[int, ...], ...], float]:
     """Draw one table; returns (matrix as row tuples, log importance weight).
 
-    `rng` is either an integer seed or a numpy Generator.
+    `rng` is either a nonnegative integer seed or a numpy Generator.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.Philox(int(rng)))
     logw, tables = _batch_log_weights(spec, 1, rng, want_tables=True)
     matrix = tuple(tuple(int(v) for v in row) for row in tables[0])
     return matrix, float(logw[0])
@@ -190,9 +190,10 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
+    elif int(seed_or_rng) < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {seed_or_rng}")
     else:
         rng = np.random.Generator(np.random.Philox(int(seed_or_rng)))
-    log_row = _log_spread_table(s, n)   # log_row[nl][u], u = budget left
     # doubles per sample in a chunk: entry weights and lookahead tables
     # (m rows of t+1 each), the uniforms, and the draw's (t+1)-row temporaries
     per_sample = 8 * (2 * m * (t + 1) + m * n + 6 * (t + 1))
@@ -204,12 +205,11 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
         chunk_tables = tables[start:stop] if want_tables else None
         # consecutive blocks continue one stream: row i is always sample i's
         uniforms = rng.random((stop - start, m * n))
-        logw[start:stop] = _sample_chunk(m, s, n, t, log_row, uniforms,
-                                         chunk_tables)
+        logw[start:stop] = _sample_chunk(m, s, n, t, uniforms, chunk_tables)
     return (logw, tables) if want_tables else logw
 
 
-def _sample_chunk(m, s, n, t, log_row, uniforms, tables):
+def _sample_chunk(m, s, n, t, uniforms, tables):
     """Log weights of one chunk of samples, filled column by column.
 
     Arrays keep the sample axis last, so every step below runs over
@@ -227,13 +227,22 @@ def _sample_chunk(m, s, n, t, log_row, uniforms, tables):
     look = pad[:, 1:]
     tmp = np.empty((width, size))
     for j in range(n - 1):
-        log_spread = log_row[n - 1 - j]
-        # ratio[x, u] = spread(u - x) / spread(u): the weight of entry x for a
-        # row with budget u, scaled so that ratio[0, u] = 1
-        gap = np.arange(s + 1) - xs
+        # log_spread[v] = log C(v + nl - 1, nl - 1) up to a constant, for
+        # nl = n - 1 - j columns left
+        top = int(budgets.max())
+        values = np.arange(top + 1)
+        log_spread = gammaln(values + n - 1 - j) - gammaln(values + 1)
+        # ratio[x, k] = spread(u - x) / spread(u) for the k-th budget u present
+        # in the chunk: the weight of entry x for a row with budget u, scaled
+        # so that ratio[0, k] = 1; slot[u] is k
+        present = np.zeros(top + 1, dtype=bool)
+        present[budgets] = True
+        slot = np.cumsum(present) - 1
+        u = np.flatnonzero(present)
+        gap = u - xs[:min(t, top) + 1]
         ratio = np.where(gap >= 0, np.exp(
-            log_spread[np.maximum(gap, 0)] - log_spread), 0.0)
-        a = ratio[:min(t, int(budgets.max())) + 1, budgets]   # a[x, i]
+            log_spread[np.maximum(gap, 0)] - log_spread[u]), 0.0)
+        a = ratio[:, slot[budgets]]   # a[x, i]
         # the last row absorbs v alone; rows above convolve in their weights
         look[m - 1] = 0.0
         look[m - 1][:a.shape[0]] = a[:, m - 1]
@@ -274,17 +283,3 @@ def _sample_chunk(m, s, n, t, log_row, uniforms, tables):
     if tables is not None:
         tables[:, :, n - 1] = budgets.T
     return logw
-
-
-def _log_spread_table(max_value: int, max_parts: int) -> list[np.ndarray]:
-    """tab[p][v] = log(ways to spread v over p ordered nonnegative cells)."""
-    tab = []
-    for parts in range(max_parts):
-        if parts == 0:
-            row = np.full(max_value + 1, _NEG_INF)
-            row[0] = 0.0
-        else:
-            row = np.array([log_binomial(v + parts - 1, parts - 1)
-                            for v in range(max_value + 1)])
-        tab.append(row)
-    return tab

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import contab
+from contab import cli
 from contab.cli import main
 
 
@@ -70,6 +71,35 @@ def test_state_cap_exit_code_two():
     code, out, err = run("count", "10", "20", "10", "20", "--max-states", "1000")
     assert code == 2
     assert "resource limit" in err
+
+
+def test_out_of_memory_exit_code_two(monkeypatch):
+    def exhausted(args, spec):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "count", exhausted)
+    code, out, err = run("count", "2", "2", "2", "2")
+    assert code == 2 and out == ""
+    assert err == "contab: resource limit: out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--method", "good"), ("verify-integral", "--grid", "4"),
+    ("delta",), ("compare",), ("mc", "--samples", "10")])
+def test_margins_beyond_float_range_exit_one(argv):
+    big = str(10 ** 400)
+    code, out, err = run(argv[0], "2", big, "2", big, *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("contab: error: ") and err.count("\n") == 1
+
+
+def test_bad_digits_and_seed_exit_one():
+    for argv in [("estimate", "4", "4", "4", "4", "--method", "conj1", "--digits", "0"),
+                 ("mc", "2", "2", "2", "2", "--samples", "10", "--seed", "-1"),
+                 ("compare", "2", "2", "2", "2", "--mc-samples", "10", "--seed", "-1")]:
+        code, out, err = run(*argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("contab: error: "), argv
 
 
 def test_estimate_methods_all_run():

@@ -157,6 +157,8 @@ def test_interval_orientation_and_rendering():
     text = interval.scientific(4)
     assert text.startswith("(") and "±" in text and text.endswith("e7")
     with pytest.raises(InvalidSpecError):
+        interval.scientific(0)
+    with pytest.raises(InvalidSpecError):
         EstimateInterval(high, low)
 
 

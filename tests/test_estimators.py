@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from contab.core import InvalidSpecError, leading_digits, make_spec
+from contab.core import InvalidSpecError, gaussian_coeff, leading_digits, make_spec
 from contab.estimators import (
     bracket_delta,
     bracket_delta_from_log,
@@ -18,7 +18,6 @@ from contab.estimators import (
     hypothesis_min_coefficient,
     independence_decomposition,
     refined_estimate,
-    saddle_params,
 )
 from contab.exact import count_exact
 
@@ -220,16 +219,18 @@ def test_hypothesis_min_coefficient_2x2():
     )
 
 
-def test_saddle_params_unit_density():
-    p = saddle_params(make_spec(2, 2, 2, 2))
-    assert p.density == 1
-    assert p.gaussian_coeff == 1
+def test_gaussian_coeff_unit_density():
+    lam = make_spec(2, 2, 2, 2).density
+    assert lam == 1
+    assert gaussian_coeff(lam) == 1
 
 
-def test_saddle_params_exact_rationals():
-    p = saddle_params(make_spec(3, 100, 3, 100))
-    assert p.density == Fraction(100, 3)
-    assert p.gaussian_coeff == Fraction(1, 2) * Fraction(100, 3) * Fraction(103, 3)
+def test_gaussian_coeff_exact_rationals():
+    lam = make_spec(3, 100, 3, 100).density
+    assert lam == Fraction(100, 3)
+    a = gaussian_coeff(lam)
+    assert isinstance(a, Fraction)
+    assert a == Fraction(1, 2) * Fraction(100, 3) * Fraction(103, 3)
 
 
 def test_transpose_invariance_of_all_estimates():
@@ -250,7 +251,8 @@ def test_transpose_invariance_of_all_estimates():
 def test_zero_density_rejected_everywhere():
     spec = make_spec(2, 0, 2, 0)
     for fn in (good_estimate, refined_estimate, closed_form_estimate,
-               high_density_estimate, bracket_interval, saddle_params,
-               hypothesis_lhs):
+               high_density_estimate, bracket_interval, hypothesis_lhs):
         with pytest.raises(InvalidSpecError):
             fn(spec)
+    with pytest.raises(InvalidSpecError):
+        gaussian_coeff(spec.density)

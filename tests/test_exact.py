@@ -1,6 +1,7 @@
 """Exact counting: brute-force cross-checks, closed forms, resource caps."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,19 @@ def test_magic_square_anchor():
 
 def test_permutation_matrices_200():
     assert count_exact(make_spec(200, 1, 200, 1)) == math.factorial(200)
+
+
+def test_permutation_matrices_2000_in_bounded_memory():
+    # labelings are binomials evaluated where used; a table of them would
+    # hold about m^2/2 big ints before any cap is checked
+    tracemalloc.start()
+    try:
+        count = count_exact(make_spec(2000, 1, 2000, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(2000)
+    assert peak < 32 << 20
 
 
 def test_two_per_line_closed_form_150():

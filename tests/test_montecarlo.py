@@ -1,6 +1,7 @@
 """Sequential importance sampling: unbiasedness, variance, determinism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,27 @@ def test_zero_density_rejected():
         sample_table(make_spec(2, 0, 2, 0), 0)
     with pytest.raises(InvalidSpecError):
         enumerate_proposal(make_spec(3, 0, 3, 0))
+
+
+def test_negative_seed_rejected():
+    spec = make_spec(2, 2, 2, 2)
+    with pytest.raises(InvalidSpecError):
+        mc_estimate(spec, 10, seed=-1)
+    with pytest.raises(InvalidSpecError):
+        sample_table(spec, -1)
+
+
+def test_wide_margins_in_bounded_memory():
+    # entry weights are built per chunk for the budgets it holds, so nothing
+    # grows with the margins outside the chunk budget
+    tracemalloc.start()
+    try:
+        est = mc_estimate(make_spec(2, 3000, 2, 3000), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.log_mean == pytest.approx(math.log(3001))
+    assert peak < 32 << 20
 
 
 def test_log_weight_matches_enumerated_probability():
