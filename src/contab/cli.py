@@ -7,7 +7,8 @@ the applicability diagnostic.
 
 Records go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain error (bad arguments, unbalanced margins, margins too large for a
-float method), 2 resource cap hit or out of memory.
+float method), 2 resource cap hit or out of memory.  A cap hit still writes
+the record, with error, kind, limit and used in place of the results.
 Exact counts are always emitted as full decimal strings; every stochastic
 record carries its seed.  JSON is the canonical format (sorted keys, Python
 repr floats, byte-stable on round-trip); CSV flattens interval results into
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
         return 1
     except ResourceLimitError as err:
         print(f"contab: resource limit: {err}", file=sys.stderr)
+        record.update(error="resource_limit", kind=err.kind, limit=err.limit,
+                      used=err.used)
+        sys.stdout.write(render(record, args.format))
         return 2
     except MemoryError:
         print("contab: resource limit: out of memory", file=sys.stderr)

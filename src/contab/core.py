@@ -91,20 +91,36 @@ def make_spec(m: int, s: int, n: int, t: int) -> TableSpec:
     return TableSpec(m, s, n, t)
 
 
-def log_binomial(a: int, b: int) -> float:
-    """Natural log of binomial(a, b) via log-gamma.
+_LOG_SUM_TERMS = 30
 
-    Works for arguments far beyond what exact integer evaluation could
-    represent in float.  Exact to roughly 1e-13 relative for a <= 1000
-    (checked against big-integer binomials in the tests).
+
+def log_binomial(a: int, b: int) -> float:
+    """Natural log of binomial(a, b), to about 1e-14 relative for any a < 1e308.
+
+    lgamma(a+1) - lgamma(a-b+1) cancels when b is far below a: at a = 1e18
+    it loses every digit.  So with k = min(b, a-b), up to _LOG_SUM_TERMS
+    factors (a-i) are summed directly, and beyond that the difference is
+    taken from Stirling's series with log1p, which does not cancel.
     """
     if not isinstance(a, int) or not isinstance(b, int):
         raise InvalidSpecError(f"binomial arguments must be integers, got {a!r}, {b!r}")
     if b < 0 or b > a:
         raise InvalidSpecError(f"need 0 <= b <= a, got a={a}, b={b}")
-    if b == 0 or b == a:
+    k = min(b, a - b)
+    if k == 0:
         return 0.0
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    top = float(a + 1)     # OverflowError beyond float range
+    if k <= _LOG_SUM_TERMS:
+        return math.fsum(math.log(a - i) for i in range(k)) - math.lgamma(k + 1)
+    # lgamma(top) - lgamma(low), both by Stirling; low = a-k+1 >= k+1 > 31
+    low = float(a - k + 1)
+    return (k * math.log(top) - (low - 0.5) * math.log1p(-k / top) - k
+            + _stirling_tail(top) - _stirling_tail(low) - math.lgamma(k + 1))
+
+
+def _stirling_tail(y: float) -> float:
+    """lgamma(y) - ((y - 1/2) log y - y + log(2 pi)/2), off by < 1/(1680 y^7)."""
+    return 1 / (12 * y) - 1 / (360 * y ** 3) + 1 / (1260 * y ** 5)
 
 
 def log_of_fraction(q: Fraction) -> float:

@@ -18,12 +18,27 @@ labeled rows (a product of binomials).  The enumeration runs on an explicit
 stack, so its depth does not grow with the shape, and it visits only
 partial choices that can still be completed: a row whose new deficit could
 never be filled by the remaining columns is pruned (new deficit must be
-<= (columns remaining - 1) * t).  The last two columns are finished in
-closed form.
+<= (columns remaining - 1) * t).
 
-Counts are exact Python ints throughout.  Two budgets bound the computation:
-a state cap on the states held in the layer being built, checked as each
-new state is inserted, and a work budget on enumerated allocations.
+The pass stops with h = n // 2 columns left and joins.  The layer with c
+columns left maps a state D to W_c(D), orbit(D) times the fillings of the
+n - c columns spent, where orbit(D) = m! / (z! * prod mu!) counts the labeled
+deficit vectors with multiset D (z rows finished).  The h columns still to
+fill with row sums D are, read the other way, h spent columns with deficits
+s - D, which the layer with n - h columns left holds: the last layer when n
+is even, the one before it when n is odd, so no extra layer is kept.  Hence
+
+    M = sum over D with h columns left of W_h(D) * W_(n-h)(s - D) / orbit(D),
+
+where s - D maps each deficit v to s - v (finished rows become s, rows at s
+drop out).  Every state is completable, so a complement missing from its
+layer is an internal error, and the division is exact.  For n <= 5 the pass
+runs to two columns left instead, which are finished in closed form.
+
+Counts are exact Python ints throughout.  Two budgets bound the forward
+pass (the join enumerates nothing and adds no work): a state cap on the
+states held in the layer being built, checked as each new state is
+inserted, and a work budget on enumerated allocations.
 Exceeding either raises ResourceLimitError; a wrong answer is never returned.
 The state cap is the memory guard: each state it counts costs up to about
 a kilobyte, the layer being expanded included, so the default 2**20 keeps a
@@ -64,9 +79,12 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
     if m == 1:
         return 1
 
+    # stop with h columns left; mirror becomes the layer with n - h left
+    h = max(2, n // 2)
     layer = {((s, m),): 1}
+    mirror = layer
     work = 0
-    for cols in range(n, 2, -1):
+    for cols in range(n, h, -1):
         nxt: dict[tuple[tuple[int, int], ...], int] = {}
         for state, ways in layer.items():
             assert sum(v * mu for v, mu in state) == cols * t, \
@@ -88,13 +106,40 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
                         f"state cap exhausted counting {spec}: "
                         f"{len(nxt) + 1} states in one layer > {max_states}",
                         kind="states", limit=max_states, used=len(nxt) + 1)
+        if cols - 1 == n - h:
+            mirror = nxt
         layer = nxt
 
     total = 0
     for state, ways in layer.items():
-        assert sum(v * mu for v, mu in state) == 2 * t, "mass conservation violated"
-        total += ways * _two_column_count(state, t)
+        assert sum(v * mu for v, mu in state) == h * t, "mass conservation violated"
+        if h == 2:
+            total += ways * _two_column_count(state, t)
+            continue
+        # ways = orbit * fillings of the n - h spent columns; the mirror
+        # state counts the fillings of the h columns left, times the orbit
+        rest = _complement(state, s, m)
+        assert rest in mirror, f"complement {rest} of {state} missing from its layer"
+        fillings, r = divmod(ways, _orbit(state, m))
+        assert r == 0, "layer count not divisible by its orbit"
+        total += fillings * mirror[rest]
     return total
+
+
+def _complement(state, s: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The state s - D: each deficit v becomes s - v, finished rows become s."""
+    done = m - sum(mu for _, mu in state)
+    rest = tuple((s - v, mu) for v, mu in reversed(state) if v < s)
+    return rest + ((s, done),) if done else rest
+
+
+def _orbit(state, m: int) -> int:
+    """Labeled deficit vectors with this multiset: m! / (z! * prod mu!)."""
+    orbit, left = 1, m
+    for _, mu in state:
+        orbit *= comb(left, mu)
+        left -= mu
+    return orbit
 
 
 def _allocations(classes, t: int, cap_next: int):

@@ -73,6 +73,23 @@ def test_state_cap_exit_code_two():
     assert "resource limit" in err
 
 
+def test_cap_hit_writes_a_record():
+    code, out, err = run("count", "10", "20", "10", "20", "--max-states", "1000",
+                         "--format", "json")
+    assert code == 2 and err.startswith("contab: resource limit: ")
+    rec = json.loads(out)
+    assert rec == {"command": "count", "m": 10, "s": 20, "n": 10, "t": 20,
+                   "density": "2", "error": "resource_limit", "kind": "states",
+                   "limit": 1000, "used": 1001}
+
+
+def test_huge_margins_estimate_does_not_cancel():
+    # G for (2,s,2,s) is (s+1)^4 / C(2s+3, 3), about 0.75 s
+    big = str(10 ** 18)
+    rec = run_json("estimate", "2", big, "2", big, "--method", "good")
+    assert rec["value"] == "7.500e17"
+
+
 def test_out_of_memory_exit_code_two(monkeypatch):
     def exhausted(args, spec):
         raise MemoryError

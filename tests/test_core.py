@@ -85,6 +85,15 @@ def test_log_binomial_matches_exact_integers():
     assert worst < 1e-12
 
 
+def test_log_binomial_huge_top_small_bottom():
+    # lgamma(a+1) - lgamma(a-b+1) cancels here: at a = 1e18 it lost every digit
+    for k in range(3, 19):
+        a = 10 ** k
+        for b in (1, 2, 3, 7, 30, 31, 100, 1000, a - 2, a - 40):
+            want = math.log(math.comb(a, b))
+            assert abs(log_binomial(a, b) - want) <= 1e-13 * want, (a, b)
+
+
 def test_log_binomial_edges_and_domain():
     assert log_binomial(0, 0) == 0.0
     assert log_binomial(17, 0) == 0.0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from contab.core import InvalidSpecError, ResourceLimitError, make_spec
+from contab.core import InvalidSpecError, ResourceLimitError, leading_digits, make_spec
 from contab.exact import (
     BRUTEFORCE_MAX_CELLS,
     count_bruteforce,
@@ -90,21 +90,58 @@ def test_permutation_matrices_2000_in_bounded_memory():
     assert peak < 32 << 20
 
 
-def test_two_per_line_closed_form_150():
+def _two_per_line(n):
     # k entries equal to 2; the rest is a 2-regular bipartite multigraph
-    n, f = 150, math.factorial
-    want = sum(Fraction(f(n) ** 2 * f(2 * n - 2 * k),
+    f = math.factorial
+    return sum(Fraction(f(n) ** 2 * f(2 * n - 2 * k),
                         f(k) * f(n - k) ** 2 * 2 ** (2 * n - k))
                for k in range(n + 1))
-    assert count_exact(make_spec(n, 2, n, 2)) == want
+
+
+def _two_rows(s, n, t):
+    # the first row (x_1..x_n) in [0, t]^n sums to s and fixes the second;
+    # inclusion-exclusion over the entries above t
+    return sum((-1) ** j * math.comb(n, j) * math.comb(s - (t + 1) * j + n - 1, n - 1)
+               for j in range(n + 1) if (t + 1) * j <= s)
+
+
+def test_two_per_line_closed_form_150():
+    assert count_exact(make_spec(150, 2, 150, 2)) == _two_per_line(150)
 
 
 def test_column_totals_near_1000():
-    # the first row (x1, x2, x3) in [0, 1000]^3 sums to 1500 and fixes the
-    # second; count it by inclusion-exclusion over the entries above 1000
-    want = sum((-1) ** j * math.comb(3, j) * math.comb(1500 - 1001 * j + 2, 2)
-               for j in range(4) if 1001 * j <= 1500)
-    assert count_exact(make_spec(2, 1500, 3, 1000)) == want
+    assert count_exact(make_spec(2, 1500, 3, 1000)) == _two_rows(1500, 3, 1000)
+
+
+def test_join_on_closed_forms_both_parities():
+    # from n = 6 on, the pass stops halfway and joins each state with its
+    # complement; joined states hold finished rows (deficit 0) and untouched
+    # rows (deficit s), for even n (one layer) and odd n (two layers)
+    for n in range(2, 13):
+        assert count_exact(make_spec(n, 1, n, 1)) == math.factorial(n), n
+        assert count_exact(make_spec(n, 2, n, 2)) == _two_per_line(n), n
+        for t in range(1, 8):
+            if n * t % 2 == 0:
+                s = n * t // 2
+                assert count_exact(make_spec(2, s, n, t)) == _two_rows(s, n, t), (n, t)
+
+
+def test_join_agrees_with_brute_force():
+    # two rows by six columns either way round; the brute force grows fast
+    # with s, so s stays where it runs in well under a second
+    for s in (3, 6):
+        spec = make_spec(2, s, 6, s // 3)
+        assert count_exact(spec) == count_bruteforce(spec), spec
+    for s in range(0, 7):
+        spec = make_spec(6, s, 2, 3 * s)
+        assert count_exact(spec) == count_bruteforce(spec), spec
+
+
+def test_halfway_join_halves_the_work():
+    # the full pass over (3,98,49,6) enumerates 712533 allocations; stopping
+    # at 24 columns left needs 372844
+    count = count_exact(make_spec(3, 98, 49, 6), max_work=400_000)
+    assert leading_digits(count, 6) == (101100, 68)
 
 
 def test_state_cap_raises_with_diagnostics():
