@@ -141,9 +141,12 @@ def gaussian_coeff(lam):
 
 
 def cell_entropy(lam: Fraction) -> float:
-    """H(lam) = -lam log(lam) + (1+lam) log(1+lam), the log growth per cell."""
-    return (-float(lam) * log_of_fraction(lam)
-            + float(1 + lam) * log_of_fraction(1 + lam))
+    """H(lam) = -lam log(lam) + (1+lam) log(1+lam), the log growth per cell.
+
+    Evaluated as lam log1p(1/lam) + log1p(lam): the two terms of the
+    definition are each about lam log(lam) and cancel for large lam.
+    """
+    return float(lam) * math.log1p(float(1 / lam)) + math.log1p(float(lam))
 
 
 def _mantissa_exponent(log_value: float) -> tuple[float, int]:

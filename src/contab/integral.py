@@ -11,10 +11,16 @@ the count M(m, s; n, t) equals
 
 integral_numeric evaluates I by the tensor-product trapezoid rule, which is
 spectrally accurate here because the integrand is analytic and periodic.
-The integrand factors through the pairwise angle sums, so the grid sum
-collapses to an (m+1)-dimensional contraction and desk-scale grids are
-cheap; the advertised budget is still counted as points^(m+n) because that
-is the conceptual evaluation count the caller reasons about.
+The integrand factors through the pairwise angle sums, so summing out the
+column angles leaves a function h of the m row angles.  Because ms = nt the
+integrand is unchanged by theta_j -> theta_j + a, phi_k -> phi_k - a, and a
+shift by one grid step maps the grid onto itself, so the sum is p times its
+part with the first row angle fixed at the first grid point.  With p points
+per dimension (and m the smaller side, after a transpose if needed) the
+contraction costs about p^m operations and h holds p^(m-1) values, so
+desk-scale grids are cheap; the advertised budget is still counted as
+p^(m+n) because that is the conceptual evaluation count the caller
+reasons about.
 
 The modulus of the integrand splits as prod f(theta_j + phi_k) with
 f(z) = (1 + 4A(1 - cos z))^-1/2 and A = lam(1+lam)/2.  envelope_check
@@ -108,13 +114,14 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
 
     # h(theta) = sum_b w_b prod_j g(theta_j + x_b); then
-    # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n
+    # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, which the
+    # diagonal rotation folds to p times its part with theta_1 = x_0
     row_axes = [chr(ord("a") + k) for k in range(m)]
     h = np.einsum(",".join(f"{ax}z" for ax in row_axes) + ",z->" + "".join(row_axes),
-                  *([g] * m), w, optimize=True)
+                  g[:1], *([g] * (m - 1)), w, optimize=True)
     total = np.einsum(",".join(row_axes) + "," + "".join(row_axes) + "->",
-                      *([u] * m), h ** n, optimize=True)
-    return complex(total * (TWO_PI / p) ** (m + n))
+                      u[:1], *([u] * (m - 1)), h ** n, optimize=True)
+    return complex(p * total * (TWO_PI / p) ** (m + n))
 
 
 def reconstruct_count(spec: TableSpec, integral_value: complex) -> float:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -122,27 +123,30 @@ def enumerate_proposal(spec: TableSpec):
     """All (table, proposal probability) pairs, in exact rational arithmetic.
 
     Walks every decision path of the sampler with the same conditionals the
-    float code uses.  Paths are in bijection with valid tables, the
-    probabilities sum to 1, and the weighted average of the weights 1/q
-    reproduces the exact count; these are the facts the unbiasedness tests
-    assert.  Desk-scale specs only.
+    float code uses.  The lookahead W_below is a table over v = 0..t, built
+    once per (budgets of the rows below, columns left) from the next
+    suffix's table by one exact-int convolution and cached for the call.
+    Paths are in bijection with valid tables, the probabilities sum to 1,
+    and the weighted average of the weights 1/q reproduces the exact count;
+    these are the facts the unbiasedness tests assert.  Desk-scale specs
+    only.
     """
     spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     results: list[tuple[tuple[tuple[int, ...], ...], Fraction]] = []
     column_major: list[list[int]] = [[0] * m for _ in range(n)]
 
-    def absorb_below(budgets: tuple[int, ...], i: int, v: int, nl: int) -> int:
-        # ways rows i.. can absorb v into this column, weighted by their
-        # later-column spread counts
-        if i == len(budgets):
-            return 1 if v == 0 else 0
-        total = 0
-        for x in range(min(budgets[i], v) + 1):
-            rest = absorb_below(budgets, i + 1, v - x, nl)
-            if rest:
-                total += _spread_count(budgets[i] - x, nl) * rest
-        return total
+    @cache
+    def absorb_below(rest: tuple[int, ...], nl: int) -> tuple[int, ...]:
+        # entry v: ways rows with budgets `rest` can absorb v = 0..t into this
+        # column, weighted by their later-column spread counts; the first row's
+        # weights convolved with the next suffix's table
+        if not rest:
+            return (1,) + (0,) * t
+        tail = absorb_below(rest[1:], nl)
+        spread = [_spread_count(rest[0] - x, nl) for x in range(rest[0] + 1)]
+        return tuple(sum(spread[x] * tail[v - x] for x in range(min(rest[0], v) + 1))
+                     for v in range(t + 1))
 
     def fill(j: int, i: int, budgets: tuple[int, ...], t_rem: int, q: Fraction):
         if j == n:
@@ -155,10 +159,10 @@ def enumerate_proposal(spec: TableSpec):
             fill(j + 1, 0, budgets, t, q)
             return
         nl = n - 1 - j
+        below = absorb_below(budgets[i + 1:], nl)
         support = []
         for x in range(min(budgets[i], t_rem) + 1):
-            w = (_spread_count(budgets[i] - x, nl)
-                 * absorb_below(budgets, i + 1, t_rem - x, nl))
+            w = _spread_count(budgets[i] - x, nl) * below[t_rem - x]
             if w:
                 support.append((x, w))
         z = sum(w for _x, w in support)

@@ -90,6 +90,14 @@ def test_huge_margins_estimate_does_not_cancel():
     assert rec["value"] == "7.500e17"
 
 
+def test_huge_margins_closed_form_entropy_does_not_cancel():
+    # H(lam) at lam = 5e17 is a sum of two terms near 2e19 that cancel to 42
+    big = str(10 ** 18)
+    closed = run_json("estimate", "2", big, "2", big, "--method", "thm1-closed")
+    refined = run_json("estimate", "2", big, "2", big, "--method", "thm1")
+    assert abs(closed["log10"] - refined["log10"]) < 1.0
+
+
 def test_out_of_memory_exit_code_two(monkeypatch):
     def exhausted(args, spec):
         raise MemoryError

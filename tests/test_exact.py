@@ -172,3 +172,5 @@ def test_bruteforce_guard_rails():
         count_bruteforce(make_spec(4, 30, 4, 30))  # row sum too large
     with pytest.raises(InvalidSpecError):
         count_bruteforce(make_spec(5, 3, 5, 3))    # too many cells
+    with pytest.raises(InvalidSpecError):
+        count_bruteforce(make_spec(2, 18, 6, 6))   # 1.1e9 row tuples

@@ -1,5 +1,6 @@
 """Torus quadrature cross-check of the counts, plus envelope and peak bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +72,20 @@ def test_phase_shift_invariance():
         for c in (0.7, -2.1, math.pi / 3):
             shifted = integrand(spec, theta + c, phi - c)
             assert abs(shifted - base) <= 1e-12 * abs(base)
+
+
+@pytest.mark.parametrize("quad, p", [((2, 2, 2, 2), 5), ((2, 3, 3, 2), 4),
+                                     ((3, 2, 2, 3), 4), ((1, 3, 3, 1), 5),
+                                     ((2, 1, 2, 1), 7)])
+def test_folded_quadrature_equals_full_grid_sum(quad, p):
+    # unconverged grids, so a wrong fold factor or phase cannot hide behind
+    # convergence; (3,2,2,3) goes through the transpose
+    spec = make_spec(*quad)
+    x = -math.pi + 2 * math.pi * np.arange(p) / p
+    full = sum(integrand(spec, point[:spec.m], point[spec.m:])
+               for point in itertools.product(x, repeat=spec.m + spec.n))
+    want = full * (2 * math.pi / p) ** (spec.m + spec.n)
+    assert abs(integral_numeric(spec, p) - want) <= 1e-12 * abs(want)
 
 
 def test_two_pi_periodicity():

@@ -20,7 +20,8 @@ def margins_ok(table, spec):
 
 def test_forced_specs_have_single_unit_weight_path():
     # one row, or one column: the table is fully determined
-    for quad in [(1, 6, 3, 2), (1, 2, 2, 1), (2, 4, 1, 8), (1, 5, 5, 1)]:
+    # (12,4,1,48) has twelve rows: exponential without the per-suffix lookahead
+    for quad in [(1, 6, 3, 2), (1, 2, 2, 1), (2, 4, 1, 8), (1, 5, 5, 1), (12, 4, 1, 48)]:
         spec = make_spec(*quad)
         paths = enumerate_proposal(spec)
         assert len(paths) == 1
@@ -46,25 +47,20 @@ def test_permutation_spec_is_uniform_over_both_tables():
 def test_proposal_is_exactly_normalized_and_complete_small_sweep():
     # over every reachable table: probabilities sum to 1 in exact arithmetic,
     # every table is distinct with correct margins, and the support size
-    # equals the exact count, so 1/q is an unbiased count estimator
-    checked = 0
-    for m in range(1, 10):
-        for n in range(1, 10):
-            if m * n > 9:
-                continue
-            for s in range(1, 5):
-                if (m * s) % n:
-                    continue
-                spec = make_spec(m, s, n, m * s // n)
-                paths = enumerate_proposal(spec)
-                assert sum(q for _, q in paths) == 1, spec
-                assert len(paths) == count_exact(spec), spec
-                assert len({t for t, _ in paths}) == len(paths), spec
-                for table, q in paths:
-                    assert q > 0
-                    assert margins_ok(table, spec), spec
-                checked += 1
-    assert checked > 40
+    # equals the exact count, so 1/q is an unbiased count estimator;
+    # (8,2,2,8) adds eight rows and 1107 tables
+    quads = [(m, s, n, m * s // n) for m in range(1, 10) for n in range(1, 10)
+             if m * n <= 9 for s in range(1, 5) if (m * s) % n == 0]
+    assert len(quads) > 40
+    for quad in quads + [(8, 2, 2, 8)]:
+        spec = make_spec(*quad)
+        paths = enumerate_proposal(spec)
+        assert sum(q for _, q in paths) == 1, spec
+        assert len(paths) == count_exact(spec), spec
+        assert len({t for t, _ in paths}) == len(paths), spec
+        for table, q in paths:
+            assert q > 0
+            assert margins_ok(table, spec), spec
 
 
 def test_exact_variance_matches_sampled_standard_error():
