@@ -70,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-states",
                         default=_env_int("CONTAB_MAX_STATES", exact.DEFAULT_MAX_STATES),
                         type=int, help="state cap for exact counting")
+    common.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=int,
+                        help="work budget for exact counting: column allocations")
     common.add_argument("--max-evals",
                         default=_env_int("CONTAB_MAX_EVALS", integral.DEFAULT_MAX_EVALS),
-                        type=int, help="evaluation budget for counting and quadrature")
+                        type=int, help="point budget for quadrature")
     shape = argparse.ArgumentParser(add_help=False)
     for name in ("m", "s", "n", "t"):
         shape.add_argument(name, type=int)
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
 
 
 def _exact(args, spec) -> int:
-    return exact.count_exact(spec, max_states=args.max_states, max_work=args.max_evals)
+    return exact.count_exact(spec, max_states=args.max_states, max_work=args.max_work)
 
 
 def _exact_or_reason(args, spec):
@@ -225,7 +227,7 @@ def _mc(args, spec) -> dict:
 
 def _ehrhart(args, spec) -> dict:
     poly = ehrhart.ehrhart_polynomial(args.m, args.n, max_states=args.max_states,
-                                      max_work=args.max_evals)
+                                      max_work=args.max_work)
     fields = {"s0": poly.s0, "t0": poly.t0, "degree": poly.degree,
               "coefficients": [str(c) for c in poly.coefficients],
               "h_vector": list(poly.h_vector),

@@ -32,9 +32,11 @@ scaled: row i's entry weights are kept as the ratios
 C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
 and each convolution is rescaled to a per-sample maximum of 1.  The ratios
 are evaluated per column with gammaln, only for the budgets r_i present in
-the chunk, so besides the chunk's own arrays only vectors of length s grow
-with the margins.  A factor that is constant for a sample cancels from
-every conditional, so only the draw's log z - log p(x) leaves linear space.
+the chunk, into a table of (t+1) x (budgets present) values that counts
+against the chunk's byte budget, so besides the chunk's own arrays only
+vectors of length s + t grow with the margins.  A factor that is constant
+for a sample cancels from every conditional, so only the draw's
+log z - log p(x) leaves linear space.
 The last row of a column and the whole last column are forced and cost no
 draw.
 
@@ -201,7 +203,12 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
     # doubles per sample in a chunk: entry weights and lookahead tables
     # (m rows of t+1 each), the uniforms, and the draw's (t+1)-row temporaries
     per_sample = 8 * (2 * m * (t + 1) + m * n + 6 * (t + 1))
-    chunk = max(1, _CHUNK_BYTES // per_sample)
+    # each column's ratio table and its index array: 16 bytes for each of
+    # (t+1) x (budgets present), and at most s+1 and at most m*chunk budgets
+    # are present; either bound gives a chunk that fits, take the larger
+    per_budget = 16 * (t + 1)
+    chunk = max(1, (_CHUNK_BYTES - per_budget * (s + 1)) // per_sample,
+                _CHUNK_BYTES // (per_sample + per_budget * m))
     logw = np.empty(samples, dtype=np.float64)
     tables = np.zeros((samples, m, n), dtype=np.int64) if want_tables else None
     for start in range(0, samples, chunk):
@@ -231,22 +238,26 @@ def _sample_chunk(m, s, n, t, uniforms, tables):
     look = pad[:, 1:]
     tmp = np.empty((width, size))
     for j in range(n - 1):
-        # log_spread[v] = log C(v + nl - 1, nl - 1) up to a constant, for
-        # nl = n - 1 - j columns left
+        # log_spread[t + v] = log C(v + nl - 1, nl - 1) up to a constant, for
+        # nl = n - 1 - j columns left; -inf for v < 0, where the count is 0
         top = int(budgets.max())
         values = np.arange(top + 1)
-        log_spread = gammaln(values + n - 1 - j) - gammaln(values + 1)
+        log_spread = np.full(t + top + 1, -np.inf)
+        log_spread[t:] = gammaln(values + n - 1 - j) - gammaln(values + 1)
         # ratio[x, k] = spread(u - x) / spread(u) for the k-th budget u present
         # in the chunk: the weight of entry x for a row with budget u, scaled
-        # so that ratio[0, k] = 1; slot[u] is k
+        # so that ratio[0, k] = 1; slot[u] is k.  Built in place and dropped
+        # once gathered, so the index array and the table are the only
+        # (t+1)-row arrays it adds to the chunk's
         present = np.zeros(top + 1, dtype=bool)
         present[budgets] = True
         slot = np.cumsum(present) - 1
-        u = np.flatnonzero(present)
-        gap = u - xs[:min(t, top) + 1]
-        ratio = np.where(gap >= 0, np.exp(
-            log_spread[np.maximum(gap, 0)] - log_spread[u]), 0.0)
+        u = np.flatnonzero(present) + t
+        ratio = log_spread.take(u - xs[:min(t, top) + 1])
+        ratio -= log_spread[u]
+        np.exp(ratio, out=ratio)
         a = ratio[:, slot[budgets]]   # a[x, i]
+        del ratio
         # the last row absorbs v alone; rows above convolve in their weights
         look[m - 1] = 0.0
         look[m - 1][:a.shape[0]] = a[:, m - 1]

@@ -83,6 +83,22 @@ def test_cap_hit_writes_a_record():
                    "limit": 1000, "used": 1001}
 
 
+def test_max_work_caps_the_exact_count():
+    code, out, _ = run("count", "10", "20", "10", "20", "--max-work", "1000",
+                       "--format", "json")
+    assert code == 2
+    rec = json.loads(out)
+    assert (rec["kind"], rec["limit"], rec["used"]) == ("work", 1000, 1001)
+
+
+def test_max_evals_no_longer_caps_the_exact_count():
+    # (3,100,3,100) takes 885 allocation steps: over 100, far under 10^9
+    rec = run_json("count", "3", "100", "3", "100", "--max-evals", "100")
+    assert rec["value"] == "13268976"
+    code, _, _ = run("count", "3", "100", "3", "100", "--max-work", "100")
+    assert code == 2
+
+
 def test_huge_margins_estimate_does_not_cancel():
     # G for (2,s,2,s) is (s+1)^4 / C(2s+3, 3), about 0.75 s
     big = str(10 ** 18)

@@ -160,6 +160,54 @@ def test_work_cap_raises_with_diagnostics():
         count_exact(spec, max_work=10_000)
     assert err.value.kind == "work"
     assert err.value.limit == 10_000
+    assert err.value.used == 10_001
+
+
+def test_work_cap_inside_cached_moves():
+    # step 200000 of (3,98,49,6) replays the stored moves of an interior
+    # shape met one layer earlier; the budget is still checked per step
+    with pytest.raises(ResourceLimitError) as err:
+        count_exact(make_spec(3, 98, 49, 6), max_work=199_999)
+    assert err.value.kind == "work"
+    assert (err.value.limit, err.value.used) == (199_999, 200_000)
+
+
+def test_move_cache_cap_keeps_the_count():
+    # no layer of (3,98,49,6) holds more than 1249 states, but its cached
+    # interior moves outgrow 2000, so later shapes are expanded uncached
+    spec = make_spec(3, 98, 49, 6)
+    count = count_exact(spec)
+    assert leading_digits(count, 6) == (101100, 68)
+    assert count_exact(spec, max_states=2000) == count
+
+
+def _three_rows(s, n, t):
+    # rows 1 and 2 take (x, y) with x + y <= t in each column and row 3 the
+    # rest; count the pairs of rows that both sum to s
+    ways = {(0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (a, b), w in ways.items():
+            for x in range(min(t, s - a) + 1):
+                for y in range(min(t - x, s - b) + 1):
+                    nxt[a + x, b + y] = nxt.get((a + x, b + y), 0) + w
+        ways = nxt
+    return ways.get((s, s), 0)
+
+
+def test_three_rows_with_row_sums_far_above_column_sums():
+    # with s >> t most states have every deficit above t, so their moves
+    # come from the per-shape cache; the oracle fills two rows column by
+    # column, and is itself checked against the brute force first
+    for s in range(0, 7):
+        for n in (3, 4):
+            if 3 * s % n == 0:
+                spec = make_spec(3, s, n, 3 * s // n)
+                assert _three_rows(s, n, spec.t) == count_bruteforce(spec), spec
+    for n in (9, 12, 15, 18, 21):
+        for t in range(1, 7):
+            s = n * t // 3
+            assert count_exact(make_spec(3, s, n, t)) == _three_rows(s, n, t), (s, n, t)
 
 
 def test_caps_do_not_bite_small_problems():

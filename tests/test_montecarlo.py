@@ -174,6 +174,22 @@ def test_wide_margins_in_bounded_memory():
     assert peak < 32 << 20
 
 
+def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
+    # each column's ratio table holds (t+1) x (budgets present) values, and
+    # with wide columns and a small budget it is the largest array
+    budget = 256 << 10
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+    spec = make_spec(4, 400, 4, 400)
+    tracemalloc.start()
+    try:
+        mc_estimate(spec, 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # outside the budget: a handful of float vectors of length s + t
+    assert peak < budget + 8 * 8 * (spec.s + spec.t)
+
+
 def test_log_weight_matches_enumerated_probability():
     # the sampled log weight must equal -log q of the drawn table; beyond
     # 2x2 this covers the multi-row lookahead and the forced last row and
