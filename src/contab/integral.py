@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (InvalidSpecError, ResourceLimitError, TableSpec, cell_entropy,
                    gaussian_coeff)
@@ -204,6 +203,8 @@ class PeakIntegralReport:
 
 def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakIntegralReport:
     """Check integral of exp(K g(x)) over |x| <= 30*arc_step against the peak value."""
+    from scipy.integrate import quad  # its only user; keeps scipy off the import path
+
     a = gaussian_coeff(float(lam))
     if k <= 0:
         raise InvalidSpecError(f"need K > 0, got {k}")

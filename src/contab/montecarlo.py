@@ -31,10 +31,11 @@ since the counts of interest reach 1e127, but the lookahead is linear and
 scaled: row i's entry weights are kept as the ratios
 C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
 and each convolution is rescaled to a per-sample maximum of 1.  The ratios
-are evaluated per column with gammaln, only for the budgets r_i present in
-the chunk, into a table of (t+1) x (budgets present) values that counts
-against the chunk's byte budget, so besides the chunk's own arrays only
-vectors of length s + t grow with the margins.  A factor that is constant
+are read per column from one table of log-gamma values, lgamma(1..s+n),
+built once per call, only for the budgets r_i present in the chunk, into a
+table of (t+1) x (budgets present) values that counts against the chunk's
+byte budget, so besides the chunk's own arrays only vectors of length s + t
+or s + n grow with the margins.  A factor that is constant
 for a sample cancels from every conditional, so only the draw's
 log z - log p(x) leaves linear space.
 The last row of a column and the whole last column are forced and cost no
@@ -55,7 +56,6 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import InvalidSpecError, LogEstimate, TableSpec
 
@@ -93,8 +93,8 @@ def mc_estimate(spec: TableSpec, samples: int, seed: int = 0) -> McEstimate:
         raise InvalidSpecError(
             f"need at least 2 samples for a standard error, got {samples}")
     logw = _batch_log_weights(spec, samples, seed)
-    lse1 = float(logsumexp(logw))
-    lse2 = float(logsumexp(2.0 * logw))
+    lse1 = _log_sum_exp(logw)
+    lse2 = _log_sum_exp(2.0 * logw)
     log_n = math.log(samples)
     log_mean = lse1 - log_n
     # sample variance: (sum w^2 - n mean^2) / (n - 1); Cauchy-Schwarz keeps
@@ -179,6 +179,12 @@ def enumerate_proposal(spec: TableSpec):
     return results
 
 
+def _log_sum_exp(values) -> float:
+    """log(sum(exp(values))) without overflow, for finite values."""
+    top = float(values.max())
+    return top + math.log(float(np.exp(values - top).sum()))
+
+
 def _spread_count(v: int, parts: int) -> int:
     """Ways to spread v over `parts` ordered nonnegative cells (1 way if none left)."""
     if parts == 0:
@@ -209,6 +215,9 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
     per_budget = 16 * (t + 1)
     chunk = max(1, (_CHUNK_BYTES - per_budget * (s + 1)) // per_sample,
                 _CHUNK_BYTES // (per_sample + per_budget * m))
+    # lg[k - 1] = log((k - 1)!) for k = 1..s+n; fromiter allocates all s+n
+    # slots before it evaluates one, so a margin past memory fails at once
+    lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float, count=s + n)
     logw = np.empty(samples, dtype=np.float64)
     tables = np.zeros((samples, m, n), dtype=np.int64) if want_tables else None
     for start in range(0, samples, chunk):
@@ -216,11 +225,11 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
         chunk_tables = tables[start:stop] if want_tables else None
         # consecutive blocks continue one stream: row i is always sample i's
         uniforms = rng.random((stop - start, m * n))
-        logw[start:stop] = _sample_chunk(m, s, n, t, uniforms, chunk_tables)
+        logw[start:stop] = _sample_chunk(m, s, n, t, lg, uniforms, chunk_tables)
     return (logw, tables) if want_tables else logw
 
 
-def _sample_chunk(m, s, n, t, uniforms, tables):
+def _sample_chunk(m, s, n, t, lg, uniforms, tables):
     """Log weights of one chunk of samples, filled column by column.
 
     Arrays keep the sample axis last, so every step below runs over
@@ -236,14 +245,13 @@ def _sample_chunk(m, s, n, t, uniforms, tables):
     # column; pad[i][0] stays 0 and stands for every v < 0 in the draw
     pad = np.zeros((m, width + 1, size))
     look = pad[:, 1:]
-    tmp = np.empty((width, size))
     for j in range(n - 1):
         # log_spread[t + v] = log C(v + nl - 1, nl - 1) up to a constant, for
         # nl = n - 1 - j columns left; -inf for v < 0, where the count is 0
         top = int(budgets.max())
-        values = np.arange(top + 1)
+        nl = n - 1 - j
         log_spread = np.full(t + top + 1, -np.inf)
-        log_spread[t:] = gammaln(values + n - 1 - j) - gammaln(values + 1)
+        log_spread[t:] = lg[nl - 1:top + nl] - lg[:top + 1]
         # ratio[x, k] = spread(u - x) / spread(u) for the k-th budget u present
         # in the chunk: the weight of entry x for a row with budget u, scaled
         # so that ratio[0, k] = 1; slot[u] is k.  Built in place and dropped
@@ -261,12 +269,13 @@ def _sample_chunk(m, s, n, t, uniforms, tables):
         # the last row absorbs v alone; rows above convolve in their weights
         look[m - 1] = 0.0
         look[m - 1][:a.shape[0]] = a[:, m - 1]
+        # out[v] = sum over x of a[x, i] * below[v - x], summed in x order
         for i in range(m - 2, 0, -1):
             below, out = look[i + 1], look[i]
-            np.multiply(a[0, i], below, out=out)
-            for x in range(1, min(t, int(budgets[i].max())) + 1):
-                np.multiply(a[x, i], below[:width - x], out=tmp[x:])
-                out[x:] += tmp[x:]
+            last = min(t, int(budgets[i].max()))
+            for v in range(width):
+                span = min(v, last) + 1
+                np.einsum("xk,xk->k", a[:span, i], below[v::-1][:span], out=out[v])
             out /= out.max(axis=0)
         t_rem = np.full(size, t, dtype=np.int64)
         for i in range(m - 1):

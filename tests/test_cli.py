@@ -380,6 +380,38 @@ def test_flag_overrides_env(monkeypatch):
     assert "13268976" in out
 
 
+def _source_env():
+    # the environment of a fresh interpreter that imports contab from this tree
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(contab.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only by the adaptive quadrature of peak_integral_check
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, contab, contab.cli; "
+                           "print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_mc_huge_margins_exit_two():
+    # the sampler's log-gamma table of s + n values cannot be allocated; a
+    # subprocess with a timeout turns a per-value Python loop into a failure
+    big = str(10 ** 18)
+    proc = subprocess.run([sys.executable, "-m", "contab", "mc", "2", big, "2", big,
+                           "--samples", "10"],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "contab: resource limit: out of memory\n"
+
+
 def test_installed_console_script():
     # Run the [project.scripts] entry point the way an installer's wrapper
     # does, in a fresh interpreter that imports contab from this source tree.
@@ -388,10 +420,7 @@ def test_installed_console_script():
     with open(pyproject, "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["contab"]
     module, _, func = target.partition(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(contab.__file__).resolve().parent.parent),
-        env.get("PYTHONPATH")]))
+    env = _source_env()
     proc = subprocess.run([sys.executable, "-c",
                            f"import sys; from {module} import {func}; "
                            f"sys.exit({func}())",
@@ -404,10 +433,7 @@ def test_installed_console_script():
 
 def test_python_dash_m_runs_the_cli():
     # `python -m contab` works from an uninstalled source tree
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(contab.__file__).resolve().parent.parent),
-        env.get("PYTHONPATH")]))
+    env = _source_env()
     proc = subprocess.run([sys.executable, "-m", "contab", "count",
                            "2", "2", "2", "2", "--format", "json"],
                           capture_output=True, text=True, timeout=60,
