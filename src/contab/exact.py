@@ -3,40 +3,45 @@
 count_exact fills the matrix column by column in one forward pass.  All
 rows have the same target sum, so rows are interchangeable up to their
 remaining deficit, and the DP state is the multiset of positive deficits;
-a row whose deficit reaches zero is finished and drops out.  A state is
-keyed (base, shape): base is its smallest deficit and shape the sorted
-(deficit - base, multiplicity) pairs.  The pass keeps one dict per column
-layer mapping each reachable state to the number of ways to reach it,
-starting from every row at deficit s.  Mass conservation fixes the number of columns
-left: the deficits of a state in the layer with c columns left sum to c * t,
-which also gives a cheap internal consistency assertion.
+a row whose deficit reaches zero is finished and drops out.  The pass keeps
+one dict per column layer mapping each reachable state to the number of
+ways to reach it, starting from every row at deficit s.  The deficits of a
+state in the layer with c columns left sum to c * t (mass conservation, a
+cheap internal assertion).
+
+A state is one packed integer, its code: digit v, b = m.bit_length() bits
+wide, holds the number of rows at deficit v, so the at most m live rows
+never carry into the next digit; finished rows add nothing, and a code has
+at most b * (s + 1) bits.  CPython hashes an int as its value modulo
+2**61 - 1, and 2**(61 * b) is 1 modulo that, so deficits 61 apart hash
+alike and wide shapes fill a dict with collisions.  The layer dicts are
+therefore keyed by the code's little-endian bytes, which hash as a byte
+string.  A key is decoded into (deficit, multiplicity) lists once per
+expanded state, one step per class by jumping to the highest set bit.
 
 Spending one column distributes t units over the rows, each row receiving
 0 <= x <= deficit.  Allocations are enumerated aggregated by deficit value:
 for each class of mu rows sharing deficit v we choose a multiset of mu
 amounts and weight it by the number of ways to hand those amounts to
-labeled rows (a product of binomials).  The enumeration runs on an explicit
-stack, so its depth does not grow with the shape, and it visits only
-partial choices that can still be completed: a row whose new deficit could
-never be filled by the remaining columns is pruned (new deficit must be
-<= (columns remaining - 1) * t).
+labeled rows (a product of binomials), on an explicit stack that holds
+only partial choices that can still be completed (a new deficit must be
+<= (columns remaining - 1) * t).  A stack entry carries its child's code so
+far; k rows landing at deficit d add k << (b * d): no sort, no merge.
 
 When s is much larger than t, most states are interior: every deficit v
 has t < v <= (c - 1) * t with c columns left, so every row may take any
 amount 0..t and none finishes.  The moves of an interior state then depend
-on its shape alone, and each child is the parent's base plus a fixed
-offset, with a fixed shape.  They are enumerated once per shape and
-replayed while the shape recurs: 11847 of the 13168 interior states of
-(3,98,49,6) replay stored moves.  A shape of k live rows keeps its mass
-only if its base drops by t / k per layer, so it recurs only every
-k // gcd(k, t) layers; the cache keeps the shapes of the last m // gcd(m, t)
-layers and stores only a shape that is interior again when it can recur.
-A pass too short for any shape to recur before the join treats no state as
-interior.  Each replayed move still counts one unit of work and goes
-through the state cap, in the order the enumeration would give.  The cache
-holds at most max_states moves, about 50 bytes each (three tuple slots, the
-child shapes shared); a shape met past that bound is expanded without
-storing its moves.
+on its shape alone (the code shifted down by its smallest deficit, the
+base): each child is a fixed code shifted up by base - t digits.  They are
+enumerated once per shape and replayed, one shift each, while the shape
+recurs (11847 of the 13168 interior states of (3,98,49,6)).  A shape of k
+live rows keeps its mass only if its base drops by t / k per layer, so it
+recurs only every k // gcd(k, t) layers; the cache keeps the shapes of the
+last m // gcd(m, t) layers and stores only a shape that is interior again
+when it can recur.  A pass too short for any shape to recur before the join
+treats no state as interior.  A replayed move counts one unit of work and
+meets the state cap in the enumeration's order.  The cache holds at most
+max_states moves; a shape met past that bound is expanded uncached.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -51,17 +56,22 @@ is even, the one before it when n is odd, so no extra layer is kept.  Hence
 where s - D maps each deficit v to s - v (finished rows become s, rows at s
 drop out).  Every state is completable, so a complement missing from its
 layer is an internal error, and the division is exact.  For n <= 5 the pass
-runs to two columns left instead, which are finished in closed form.
+runs to two columns left instead, which are finished in closed form.  Two
+rows (m <= n after the transpose) are that closed form read the other way,
+n rows of deficit t filling two columns of total s; no key is built.
 
 Counts are exact Python ints throughout.  Two budgets bound the forward
-pass (the join enumerates nothing and adds no work): a state cap on the
-states held in the layer being built, checked as each new state is
-inserted, and a work budget on enumerated allocations.
-Exceeding either raises ResourceLimitError; a wrong answer is never returned.
-The state cap is the memory guard: each state it counts costs up to about
-a kilobyte, the layer being expanded included, so the default 2**20 keeps a
-pass near a gigabyte, while the default work budget alone would admit far
-more states than that; the move cache adds at most about 50 MB to that.
+pass (the join adds no work): a cap on the states held in the layer being
+built, checked at each insert, and a budget on enumerated allocations.
+Exceeding either raises ResourceLimitError, never a wrong answer.  The
+state cap is the memory guard: it budgets STATE_BYTES, about a kilobyte,
+per state, the layer being expanded included, so the default 2**20 keeps a
+pass near a gigabyte.  A held state costs its key, ceil(b * (s + 1) / 8)
+bytes plus 33 of header (11 + 33 on (10,20,10,20)), a dict slot and its
+count; a cached move costs a code and its labelings.  Width rule: a shape
+whose keys would outgrow the kilobyte, b * (s + 1) > 8192 bits, fits no
+state in its budget, so the pass raises ResourceLimitError (kind "states")
+before it builds any key.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -71,12 +81,14 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, islice
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
 
 DEFAULT_MAX_STATES = 2 ** 20
 DEFAULT_MAX_WORK = 10 ** 9
+# bytes budgeted per held state; no key may be wider
+STATE_BYTES = 1024
 
 BRUTEFORCE_MAX_CELLS = 12
 BRUTEFORCE_MAX_ROWSUM = 20
@@ -102,26 +114,36 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
     m, s, n, t = sp.m, sp.s, sp.n, sp.t
     if m == 1:
         return 1
+    if m == 2:
+        return _two_column_count([t], [n], s)
+    b = m.bit_length()
+    width = (b * (s + 1) + 7) // 8
+    if width > STATE_BYTES:
+        raise ResourceLimitError(
+            f"state cap exhausted counting {spec}: a state key of {width} bytes "
+            f"exceeds the {STATE_BYTES} budgeted per state",
+            kind="states", limit=0, used=1)
 
     # stop with h columns left; mirror becomes the layer with n - h left
     h = max(2, n // 2)
-    layer = {(s, ((0, m),)): 1}
+    layer = {(m << b * s).to_bytes(width, "little"): 1}
     mirror = layer
     work = 0
-    interior = _InteriorMoves(m, t, h, max_states)
-    # interior states need t < base; when no shape can come back before the
-    # join, none is treated as one (base <= s)
+    interior = _InteriorMoves(m, t, h, b, width, max_states)
+    # interior needs t < base; if no shape recurs before the join, none is (base <= s)
     interior_above = t if n - interior.window > h else s
     for cols in range(n, h, -1):
         cap_next = (cols - 1) * t
-        nxt: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-        for (base, shape), ways in layer.items():
-            assert sum((base + d) * mu for d, mu in shape) == cols * t, \
+        nxt: dict[bytes, int] = {}
+        for key, ways in layer.items():
+            code = int.from_bytes(key, "little")
+            vs, mus = _decode(code, b)
+            assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            if interior_above < base and base + shape[-1][0] <= cap_next:
-                moves = interior.moves(base, shape, cols)
+            if interior_above < vs[0] and vs[-1] <= cap_next:
+                moves = interior.moves(code, vs, mus, cols)
             else:
-                moves = _allocations(base, shape, t, cap_next)
+                moves = _allocations(vs, mus, b, t, cap_next)
             for child, labelings in moves:
                 work += 1
                 if work > max_work:
@@ -130,8 +152,8 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
                         f"{work} allocation steps > {max_work} "
                         f"({len(nxt)} states in the layer being built)",
                         kind="work", limit=max_work, used=work)
-                # one lookup and one store: hashing the key is a large part
-                # of a step
+                # one lookup and one store: hashing the key is much of a step
+                child = child.to_bytes(width, "little")
                 known = nxt.get(child)
                 if known is not None:
                     nxt[child] = known + ways * labelings
@@ -148,18 +170,19 @@ def count_exact(spec: TableSpec, *, max_states: int | None = None,
         layer = nxt
 
     total = 0
-    for (base, shape), ways in layer.items():
-        assert sum((base + d) * mu for d, mu in shape) == h * t, \
+    for key, ways in layer.items():
+        vs, mus = _decode(int.from_bytes(key, "little"), b)
+        assert sum(map(int.__mul__, vs, mus)) == h * t, \
             "mass conservation violated"
         if h == 2:
-            total += ways * _two_column_count(base, shape, t)
+            total += ways * _two_column_count(vs, mus, t)
             continue
         # ways = orbit * fillings of the n - h spent columns; the mirror
         # state counts the fillings of the h columns left, times the orbit
-        rest = _complement(base, shape, s, m)
+        rest = _complement(vs, mus, s, m, b).to_bytes(width, "little")
         assert rest in mirror, \
-            f"complement {rest} of {(base, shape)} missing from its layer"
-        fillings, r = divmod(ways, _orbit(shape, m))
+            f"complement of {list(zip(vs, mus))} missing from its layer"
+        fillings, r = divmod(ways, _orbit(mus, m))
         assert r == 0, "layer count not divisible by its orbit"
         total += fillings * mirror[rest]
     return total
@@ -170,84 +193,91 @@ class _InteriorMoves:
 
     layers holds one dict per layer, the newest last, for the current layer
     and the m // gcd(m, t) before it; each maps a shape met in that layer
-    to three parallel tuples: child base offset, child shape, labelings.
-    held counts the moves stored, at most max_states.
+    to two parallel tuples: the child codes shifted down by base - t, and
+    their labelings.  held counts the moves stored, at most max_states.
     """
 
-    def __init__(self, m: int, t: int, h: int, max_states: int):
-        self.t, self.h, self.max_states = t, h, max_states
+    def __init__(self, m: int, t: int, h: int, b: int, width: int, max_states: int):
+        self.t, self.h, self.b, self.width, self.max_states = t, h, b, width, max_states
         self.window = m // gcd(m, t)
         self.layers: deque[dict] = deque([{}])
         self.held = 0
-        self.interned: dict = {}
 
-    def moves(self, base: int, shape, cols: int):
-        """(child key, labelings) pairs of an interior state with cols left."""
-        t, layers = self.t, self.layers
-        rows = sum(mu for _, mu in shape)
+    def moves(self, code: int, vs: list[int], mus: list[int], cols: int):
+        """(child code, labelings) pairs of an interior state with cols left."""
+        t, b, layers = self.t, self.b, self.layers
+        base = vs[0]
+        shape = (code >> b * base).to_bytes(self.width, "little")
+        # every child deficit is at least base - t
+        shift = b * (base - t)
+        rows = sum(mus)
         period = rows // gcd(rows, t)
         entry = layers[-1 - period].pop(shape, None) if period < len(layers) else None
         if entry is not None:
             layers[-1][shape] = entry
-            offsets, shapes, labels = entry
-            return zip(zip(map(base.__add__, offsets), shapes), labels)
+            codes, labels = entry
+            return zip(map(shift.__rlshift__, codes), labels)
         cap_next = (cols - 1) * t
-        moves = _allocations(base, shape, t, cap_next)
+        moves = _allocations(vs, mus, b, t, cap_next)
         # cache only a shape that is interior again `period` layers on
         drop = period * t // rows
         if (period > self.window or cols - period <= self.h or base - drop <= t
-                or base - drop + shape[-1][0] > cap_next - period * t):
+                or vs[-1] - drop > cap_next - period * t):
             return moves
         room = self.max_states - self.held
         first = list(islice(moves, room + 1))
         if len(first) > room:
             return chain(first, moves)
         self.held += len(first)
-        intern = self.interned.setdefault
-        layers[-1][shape] = (tuple(key[0] - base for key, _ in first),
-                             tuple(intern(key[1], key[1]) for key, _ in first),
+        layers[-1][shape] = (tuple(child >> shift for child, _ in first),
                              tuple(labelings for _, labelings in first))
         return first
 
     def next_layer(self) -> None:
         """Start a layer; drop the one that fell out of the window."""
         self.layers.append({})
-        self.interned = {}
         if len(self.layers) > self.window + 1:
             self.held -= sum(len(entry[0]) for entry in self.layers.popleft().values())
 
 
-def _complement(base: int, shape, s: int, m: int):
-    """Key of the state s - D: each deficit v becomes s - v, finished rows become s."""
-    done = m - sum(mu for _, mu in shape)
-    rest = [(s - base - d, mu) for d, mu in shape if base + d < s]
-    if done:
-        rest.append((s, done))
-    return _merge(rest)
+def _decode(code: int, b: int) -> tuple[list[int], list[int]]:
+    """The deficits of a code, increasing, and their multiplicities."""
+    vs, mus = [], []
+    while code:
+        # the highest set bit lies in the digit of the largest deficit left
+        v = (code.bit_length() - 1) // b
+        mu = code >> b * v
+        vs.append(v)
+        mus.append(mu)
+        code ^= mu << b * v
+    return vs[::-1], mus[::-1]
 
 
-def _orbit(shape, m: int) -> int:
+def _complement(vs: list[int], mus: list[int], s: int, m: int, b: int) -> int:
+    """Code of the state s - D: each deficit v becomes s - v, finished rows become s."""
+    code = (m - sum(mus)) << b * s
+    for v, mu in zip(vs, mus):
+        if v < s:
+            code += mu << b * (s - v)
+    return code
+
+
+def _orbit(mus: list[int], m: int) -> int:
     """Labeled deficit vectors with these multiplicities: m! / (z! * prod mu!)."""
-    orbit, left = 1, m
-    for _, mu in shape:
-        orbit *= comb(left, mu)
-        left -= mu
-    return orbit
+    return factorial(m) // (factorial(m - sum(mus)) * prod(map(factorial, mus)))
 
 
-def _allocations(base: int, shape, t: int, cap_next: int):
-    """Yield (child key, labelings) for every way to spend one column.
+def _allocations(vs: list[int], mus: list[int], b: int, t: int, cap_next: int):
+    """Yield (child code, labelings) for every way to spend one column.
 
-    The state's rows have deficits v = base + d for the (d, multiplicity)
-    pairs in shape; each row takes an amount in [max(0, v - cap_next),
-    min(v, t)] and the amounts sum to t.
-    A stack entry (ci, a, rows, rem, ways, parts) still has to hand amounts
+    mus[i] rows have deficit vs[i], the deficits increasing; each row takes
+    an amount in [max(0, v - cap_next), min(v, t)] and the amounts sum to t.
+    A stack entry (ci, a, rows, rem, ways, code) still has to hand amounts
     <= a to `rows` rows of class ci, then fill the later classes, with rem
-    units left; parts holds the (new deficit, count) pairs chosen so far.
-    Only entries that can still be completed are pushed.
+    units left; code holds the rows placed so far.  Only entries that can
+    still be completed are pushed.
     """
-    last = len(shape) - 1
-    vs = [base + d for d, _ in shape]
+    last = len(vs) - 1
     # the largest deficit is the last; most states have no positive bound
     if vs[-1] > cap_next:
         lo = [v - cap_next if v > cap_next else 0 for v in vs]
@@ -257,15 +287,15 @@ def _allocations(base: int, shape, t: int, cap_next: int):
     min_after = [0] * (last + 2)
     max_after = [0] * (last + 2)
     for ci in range(last, 0, -1):
-        v, mu = vs[ci], shape[ci][1]
+        v, mu = vs[ci], mus[ci]
         min_after[ci] = min_after[ci + 1] + mu * lo[ci]
         max_after[ci] = max_after[ci + 1] + mu * (v if v < t else t)
-    stack = [(0, t, shape[0][1], t, 1, ())]
+    stack = [(0, t, mus[0], t, 1, 0)]
     while stack:
-        ci, a, rows, rem, ways, parts = stack.pop()
+        ci, a, rows, rem, ways, code = stack.pop()
         if rows == 0:
             ci += 1
-            rows, a = shape[ci][1], rem
+            rows, a = mus[ci], rem
         v = vs[ci]
         # plain comparisons, not min()/max(): this loop runs once per
         # allocation, and the calls cost about a third of its time
@@ -278,58 +308,29 @@ def _allocations(base: int, shape, t: int, cap_next: int):
         # every remaining row of the class takes the lower bound
         left = rem - rows * low
         if lo_after <= left <= hi_after:
-            child = parts + ((v - low, rows),) if v > low else parts
+            child = code + (rows << b * (v - low)) if v > low else code
             if ci == last:
-                yield _merge(child), ways
+                yield child, ways
             else:
                 stack.append((ci, low, 0, left, ways, child))
-        # k >= 1 rows take amount b, the rest of the class takes less
-        for b in range(a, low, -1):
-            kmin = rem - hi_after - rows * (b - 1)
+        # k >= 1 rows take amount x, the rest of the class takes less
+        for x in range(a, low, -1):
+            kmin = rem - hi_after - rows * (x - 1)
             if kmin > rows:
                 break
-            kmax = (left - lo_after) // (b - low)
+            kmax = (left - lo_after) // (x - low)
             if kmin < 1:
                 kmin = 1
             if kmax > rows:
                 kmax = rows
-            d = v - b
+            shift = b * (v - x)
             for k in range(kmin, kmax + 1):
-                child = parts + ((d, k),) if d else parts
+                child = code + (k << shift) if v > x else code
                 if k == rows and ci == last:
-                    yield _merge(child), ways * comb(rows, k)
+                    yield child, ways * comb(rows, k)
                 else:
-                    stack.append((ci, b - 1, rows - k, rem - k * b,
+                    stack.append((ci, x - 1, rows - k, rem - k * x,
                                   ways * comb(rows, k), child))
-
-
-def _merge(parts) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Canonical (base, shape) key of the (deficit, count) pairs in parts.
-
-    base is the smallest deficit; shape holds the (deficit - base, count)
-    pairs sorted, equal deficits merged.
-    """
-    if len(parts) < 3:
-        # one or two pairs, most children: no sort, no list
-        if len(parts) == 1:
-            (base, c), = parts
-            return base, ((0, c),)
-        (d, c), (e, k) = parts
-        if d < e:
-            return d, ((0, c), (e - d, k))
-        if e < d:
-            return e, ((0, k), (d - e, c))
-        return d, ((0, c + k),)
-    parts = sorted(parts)
-    base = parts[0][0]
-    out = [(0, parts[0][1])]
-    for d, c in parts[1:]:
-        d -= base
-        if d == out[-1][0]:
-            out[-1] = (d, out[-1][1] + c)
-        else:
-            out.append((d, c))
-    return base, tuple(out)
 
 
 def count_bruteforce(spec: TableSpec) -> int:
@@ -370,19 +371,17 @@ def count_bruteforce(spec: TableSpec) -> int:
     return place(0, (0,) * n)
 
 
-def _two_column_count(base: int, shape, t: int) -> int:
+def _two_column_count(vs: list[int], mus: list[int], t: int) -> int:
     """Labeled solutions of sum(x_i) = t with max(0, v_i - t) <= x_i <= min(v_i, t).
 
-    The deficits v are base + d for the (d, multiplicity) pairs in shape.
-    Standard inclusion exclusion over per-class bound violations after
-    shifting each x to its lower bound; terms are keyed by the units they
-    leave, so equal remainders are summed once.
+    mus[i] rows have deficit vs[i].  Standard inclusion exclusion over
+    per-class bound violations after shifting each x to its lower bound;
+    terms are keyed by the units they leave, equal remainders summed once.
     """
     rows = 0
     shifted = t
     caps = []
-    for d, mu in shape:
-        v = base + d
+    for v, mu in zip(vs, mus):
         lo, hi = max(0, v - t), min(v, t)
         if hi < lo:
             return 0

@@ -83,6 +83,15 @@ def test_cap_hit_writes_a_record():
                    "limit": 1000, "used": 1001}
 
 
+def test_wide_margins_write_a_state_cap_record():
+    # keys of three rows at s = 5000 outgrow the per-state budget
+    code, out, err = run("count", "3", "5000", "3", "5000", "--format", "json")
+    assert code == 2 and err.startswith("contab: resource limit: ")
+    rec = json.loads(out)
+    assert (rec["error"], rec["kind"], rec["limit"], rec["used"]) == \
+        ("resource_limit", "states", 0, 1)
+
+
 def test_max_work_caps_the_exact_count():
     code, out, _ = run("count", "10", "20", "10", "20", "--max-work", "1000",
                        "--format", "json")

@@ -1,6 +1,7 @@
 """Exact counting: brute-force cross-checks, closed forms, resource caps."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -110,7 +111,8 @@ def test_column_totals_near_1000():
 def test_join_on_closed_forms_both_parities():
     # from n = 6 on, the pass stops halfway and joins each state with its
     # complement; joined states hold finished rows (deficit 0) and untouched
-    # rows (deficit s), for even n (one layer) and odd n (two layers)
+    # rows (deficit s), for even n (one layer) and odd n (two layers); two
+    # rows are a closed form and never reach the join, three rows do
     for n in range(2, 13):
         assert count_exact(make_spec(n, 1, n, 1)) == math.factorial(n), n
         assert count_exact(make_spec(n, 2, n, 2)) == _two_per_line(n), n
@@ -118,6 +120,35 @@ def test_join_on_closed_forms_both_parities():
             if n * t % 2 == 0:
                 s = n * t // 2
                 assert count_exact(make_spec(2, s, n, t)) == _two_rows(s, n, t), (n, t)
+            if n in (6, 7, 8) and n * t % 3 == 0:
+                s = n * t // 3
+                assert count_exact(make_spec(3, s, n, t)) == _three_rows(s, n, t), (n, t)
+
+
+def test_wide_margins_stay_bounded():
+    # two rows take the closed form, so no state key is built however wide
+    # the margins; three rows at s = 5000 need 1251-byte keys, over the
+    # kilobyte budgeted per state, so the pass stops before building one
+    tracemalloc.start()
+    try:
+        count = count_exact(make_spec(2, 60000, 3, 40000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == _two_rows(60000, 3, 40000)
+    assert peak < 1 << 20
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            count_exact(make_spec(3, 5000, 3, 5000))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.kind == "states"
+    assert elapsed < 2
+    assert peak < 8 << 20
 
 
 def test_join_agrees_with_brute_force():
