@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -50,31 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise _UsageError(f"environment variable {name} must be an integer, "
-                          f"got {raw!r}") from err
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output rendering (default text)")
     common.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help="significant digits for scientific renderings")
-    common.add_argument("--max-states",
-                        default=_env_int("CONTAB_MAX_STATES", exact.DEFAULT_MAX_STATES),
-                        type=int, help="state cap for exact counting")
+    common.add_argument("--max-states", default=exact.DEFAULT_MAX_STATES, type=int,
+                        help="state cap for exact counting")
     common.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=int,
                         help="work budget for exact counting: column allocations")
-    common.add_argument("--max-evals",
-                        default=_env_int("CONTAB_MAX_EVALS", integral.DEFAULT_MAX_EVALS),
-                        type=int, help="point budget for quadrature")
+    common.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=int,
+                        help="point budget for quadrature")
     shape = argparse.ArgumentParser(add_help=False)
     for name in ("m", "s", "n", "t"):
         shape.add_argument(name, type=int)
@@ -114,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension cap m+n for the grid")
     p.add_argument("--bounds", action="store_true",
                    help="also run the modulus-envelope and peak-width checks")
-    p.add_argument("--envelope-constant", type=float, default=10.0,
-                   help="constant C in the peak-width ratio bound")
-    p.add_argument("--bound-k", type=float, default=1e4,
-                   help="sharpness parameter K for the peak-width check")
 
     p = add("check-hypothesis",
             "applicability diagnostic (1+2l)^2/(4l(1+l)) * (1+5m/6n+5n/6m)")
@@ -128,9 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as err:
         print(f"contab: error: {err}", file=sys.stderr)
         return 1
@@ -252,8 +237,7 @@ def _verify_integral(args, spec) -> dict:
                       relative_error=abs(reconstructed - count) / count)
     if args.bounds:
         env = integral.envelope_check(spec.density, seed=args.m)
-        peak = integral.peak_integral_check(spec.density, args.bound_k,
-                                            args.envelope_constant)
+        peak = integral.peak_integral_check(spec.density)
         fields.update(envelope_violations=env.violations,
                       envelope_max_slack=env.max_slack,
                       peak_ratio=peak.ratio, peak_within_bound=peak.within_bound)

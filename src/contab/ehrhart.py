@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import InvalidSpecError, make_spec
-from .exact import count_exact
+from .exact import DEFAULT_MAX_STATES, DEFAULT_MAX_WORK, count_exact
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class EhrhartPolynomial:
 
 
 def ehrhart_polynomial(m: int, n: int, counter=None, *,
-                       max_states: int | None = None,
-                       max_work: int | None = None) -> EhrhartPolynomial:
+                       max_states: int = DEFAULT_MAX_STATES,
+                       max_work: int = DEFAULT_MAX_WORK) -> EhrhartPolynomial:
     """Interpolate the dilation polynomial for the m x n shape.
 
     counter(spec) -> int supplies exact counts (defaults to count_exact).

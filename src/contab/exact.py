@@ -98,16 +98,14 @@ BRUTEFORCE_MAX_ROWSUM = 20
 BRUTEFORCE_MAX_ROW_TUPLES = 10 ** 6
 
 
-def count_exact(spec: TableSpec, *, max_states: int | None = None,
-                max_work: int | None = None) -> int:
+def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
+                max_work: int = DEFAULT_MAX_WORK) -> int:
     """Exact number of matrices with the given margins.
 
     max_states caps the states held in one column layer (default 2**20);
     max_work caps the total number of enumerated column allocations
-    (default 10**9).  Pass None for a default.
+    (default 10**9).
     """
-    max_states = DEFAULT_MAX_STATES if max_states is None else max_states
-    max_work = DEFAULT_MAX_WORK if max_work is None else max_work
     if spec.s == 0:
         return 1
     sp = spec if spec.m <= spec.n else spec.transpose()

@@ -85,11 +85,10 @@ def modulus_factor(z, lam) -> float:
 
 
 def integral_numeric(spec: TableSpec, points_per_dim: int, *,
-                     max_evals: int | None = None,
+                     max_evals: int = DEFAULT_MAX_EVALS,
                      max_dims: int = MAX_DIMENSIONS) -> complex:
     """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid."""
     lam = float(spec.positive_density())
-    max_evals = DEFAULT_MAX_EVALS if max_evals is None else max_evals
     if spec.m + spec.n > max_dims:
         raise InvalidSpecError(
             f"torus quadrature restricted to m+n <= {max_dims}, "
@@ -201,7 +200,8 @@ class PeakIntegralReport:
         return self.log_ratio <= self.log_bound
 
 
-def peak_integral_check(lam, k: float, envelope_constant: float = 10.0) -> PeakIntegralReport:
+def peak_integral_check(lam, k: float = 1e4,
+                        envelope_constant: float = 10.0) -> PeakIntegralReport:
     """Check integral of exp(K g(x)) over |x| <= 30*arc_step against the peak value."""
     from scipy.integrate import quad  # its only user; keeps scipy off the import path
 

@@ -111,12 +111,13 @@ def mc_estimate(spec: TableSpec, samples: int, seed: int = 0) -> McEstimate:
                       effective_sample_size=ess)
 
 
-def sample_table(spec: TableSpec, rng) -> tuple[tuple[tuple[int, ...], ...], float]:
+def sample_table(spec: TableSpec, seed: int) -> tuple[tuple[tuple[int, ...], ...], float]:
     """Draw one table; returns (matrix as row tuples, log importance weight).
 
-    `rng` is either a nonnegative integer seed or a numpy Generator.
+    `seed` is a nonnegative integer; the draw is sample 0 of mc_estimate's
+    stream for the same seed.
     """
-    logw, tables = _batch_log_weights(spec, 1, rng, want_tables=True)
+    logw, tables = _batch_log_weights(spec, 1, seed, want_tables=True)
     matrix = tuple(tuple(int(v) for v in row) for row in tables[0])
     return matrix, float(logw[0])
 
@@ -192,7 +193,7 @@ def _spread_count(v: int, parts: int) -> int:
     return math.comb(v + parts - 1, parts - 1)
 
 
-def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
+def _batch_log_weights(spec: TableSpec, samples: int, seed: int,
                        want_tables: bool = False):
     """Vectorized sampler core: log weights for `samples` draws.
 
@@ -200,15 +201,13 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed_or_rng,
     """
     spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
-    if isinstance(seed_or_rng, np.random.Generator):
-        rng = seed_or_rng
-    elif int(seed_or_rng) < 0:
-        raise InvalidSpecError(f"seed must be nonnegative, got {seed_or_rng}")
-    else:
-        rng = np.random.Generator(np.random.Philox(int(seed_or_rng)))
-    # doubles per sample in a chunk: entry weights and lookahead tables
-    # (m rows of t+1 each), the uniforms, and the draw's (t+1)-row temporaries
-    per_sample = 8 * (2 * m * (t + 1) + m * n + 6 * (t + 1))
+    if int(seed) < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    # 8-byte values per sample in a chunk: entry weights (m rows of t+1), the
+    # padded lookahead (m rows of t+2), the uniforms, the budgets and their
+    # gathered ratio slots (m each), and the draw's (t+1)-row temporaries
+    per_sample = 8 * (m * (t + 1) + m * (t + 2) + m * n + 2 * m + 6 * (t + 1))
     # each column's ratio table and its index array: 16 bytes for each of
     # (t+1) x (budgets present), and at most s+1 and at most m*chunk budgets
     # are present; either bound gives a chunk that fits, take the larger
@@ -302,6 +301,8 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
         budgets[m - 1] -= t_rem
         if tables is not None:
             tables[:, m - 1, j] = t_rem
+        # drop this column's weights before the next column gathers its own
+        del a
     # the last column takes what every row still has, with weight 1
     assert (budgets.sum(axis=0) == t).all(), "row sum not met"
     if tables is not None:

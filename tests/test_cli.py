@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, formats, exit codes, env knobs."""
+"""Command-line interface: subcommands, formats, exit codes, resource caps."""
 
 import csv
 import io
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import contab
-from contab import cli
+from contab import cli, exact, integral
 from contab.cli import main
 
 
@@ -363,30 +363,20 @@ def test_record_field_sets(argv, fields):
     assert sorted(run_json(*argv)) == sorted(fields)
 
 
-def test_env_var_default_for_state_cap(monkeypatch):
-    monkeypatch.setenv("CONTAB_MAX_STATES", "700")
-    code, _, err = run("count", "10", "20", "10", "20")
+def test_cap_flags_alone_set_the_caps(monkeypatch):
+    # main parses with the parser built at import; a flag given to one call
+    # must leave the next call at the library default
+    monkeypatch.setattr(cli, "build_parser", None)
+    code, out, _ = run("count", "3", "100", "3", "100", "--max-states", "10",
+                       "--format", "json")
+    assert code == 2 and json.loads(out)["limit"] == 10
+    code, _, _ = run("verify-integral", "2", "2", "2", "2", "--grid", "64",
+                     "--max-evals", "100")
     assert code == 2
-    monkeypatch.setenv("CONTAB_MAX_STATES", "not-a-number")
-    code, _, err = run("count", "2", "2", "2", "2")
-    assert code == 1
-    assert "CONTAB_MAX_STATES" in err
-
-
-def test_env_var_default_for_eval_cap(monkeypatch):
-    monkeypatch.setenv("CONTAB_MAX_EVALS", "100")
-    code, _, err = run("verify-integral", "2", "2", "2", "2", "--grid", "64")
-    assert code == 2
-
-
-def test_flag_overrides_env(monkeypatch):
-    monkeypatch.setenv("CONTAB_MAX_STATES", "10")
-    code, _, _ = run("count", "3", "100", "3", "100")
-    assert code == 2
-    code, out, _ = run("count", "3", "100", "3", "100", "--max-states",
-                       str(2**28))
-    assert code == 0
-    assert "13268976" in out
+    assert run_json("count", "3", "100", "3", "100")["value"] == "13268976"
+    args = cli._PARSER.parse_args(["verify-integral", "2", "2", "2", "2", "--grid", "8"])
+    assert args.max_states == exact.DEFAULT_MAX_STATES
+    assert args.max_evals == integral.DEFAULT_MAX_EVALS
 
 
 def _source_env():

@@ -190,6 +190,21 @@ def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
     assert peak < budget + 8 * 8 * (spec.s + spec.t)
 
 
+def test_chunk_stays_within_its_byte_budget():
+    # the m-long per-sample arrays (budgets, their gathered ratio slots, the
+    # padded lookahead's extra row) count against the budget, and a column's
+    # entry weights are dropped before the next column's are gathered
+    for quad in [(30, 3, 30, 3), (10, 20, 10, 20)]:
+        spec = make_spec(*quad)
+        tracemalloc.start()
+        try:
+            mc_estimate(spec, 2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < montecarlo._CHUNK_BYTES + 8 * 8 * (spec.s + spec.t), quad
+
+
 def test_log_weight_matches_enumerated_probability():
     # the sampled log weight must equal -log q of the drawn table; beyond
     # 2x2 this covers the multi-row lookahead and the forced last row and
