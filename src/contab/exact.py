@@ -19,14 +19,23 @@ therefore keyed by the code's little-endian bytes, which hash as a byte
 string.  A key is decoded into (deficit, multiplicity) lists once per
 expanded state, one step per class by jumping to the highest set bit.
 
-Spending one column distributes t units over the rows, each row receiving
-0 <= x <= deficit.  Allocations are enumerated aggregated by deficit value:
-for each class of mu rows sharing deficit v we choose a multiset of mu
-amounts and weight it by the number of ways to hand those amounts to
-labeled rows (a product of binomials), on an explicit stack that holds
-only partial choices that can still be completed (a new deficit must be
-<= (columns remaining - 1) * t).  A stack entry carries its child's code so
-far; k rows landing at deficit d add k << (b * d): no sort, no merge.
+Spending one column distributes t units over the rows, a row at deficit v
+taking lo <= x <= hi, with lo = max(0, v - (columns remaining - 1) * t) so
+that it stays completable and hi = min(v, t).  Allocations are enumerated
+class by class.  A class of mu rows sharing deficit v takes a multiset of
+mu amounts with some total A, weighted by its labelings mu! / prod k_x!
+(k_x rows take x).  Its part of the child code and its labelings depend
+only on (mu, lo, hi, hi == v, A), so each such option list is built once
+per pass, by a stack walk over the rows that pushes only choices that can
+still be completed, and then looked up.  A list holds codes relative to
+digit v - hi, shifted up by b * (v - hi) where used; a row taking hi = v
+finishes and adds nothing.  For each class but the last the walk takes
+every total that the classes after it can complete and every option at
+that total; the last class takes the units left in one lookup.  k rows
+landing at deficit d add k << (b * d): no sort, no merge.  A class of one
+row needs no list, its option at a total being one digit; a state of one
+class streams its only list unstored, since no benchmark shape met such a
+list twice in a pass.
 
 When s is much larger than t, most states are interior: every deficit v
 has t < v <= (c - 1) * t with c columns left, so every row may take any
@@ -40,8 +49,9 @@ recurs only every k // gcd(k, t) layers; the cache keeps the shapes of the
 last m // gcd(m, t) layers and stores only a shape that is interior again
 when it can recur.  A pass too short for any shape to recur before the join
 treats no state as interior.  A replayed move counts one unit of work and
-meets the state cap in the enumeration's order.  The cache holds at most
-max_states moves; a shape met past that bound is expanded uncached.
+meets the state cap in the enumeration's order.  Stored moves and stored
+options share one bound of max_states entries; a shape or an option list
+met past it is enumerated and used but not stored.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -68,10 +78,10 @@ state cap is the memory guard: it budgets STATE_BYTES, about a kilobyte,
 per state, the layer being expanded included, so the default 2**20 keeps a
 pass near a gigabyte.  A held state costs its key, ceil(b * (s + 1) / 8)
 bytes plus 33 of header (11 + 33 on (10,20,10,20)), a dict slot and its
-count; a cached move costs a code and its labelings.  Width rule: a shape
-whose keys would outgrow the kilobyte, b * (s + 1) > 8192 bits, fits no
-state in its budget, so the pass raises ResourceLimitError (kind "states")
-before it builds any key.
+count; a stored move or option costs a code and its labelings.  Width
+rule: a shape whose keys would outgrow the kilobyte, b * (s + 1) > 8192
+bits, fits no state in its budget, so the pass raises ResourceLimitError
+(kind "states") before it builds any key.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -127,9 +137,9 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     layer = {(m << b * s).to_bytes(width, "little"): 1}
     mirror = layer
     work = 0
-    interior = _InteriorMoves(m, t, h, b, width, max_states)
+    memo = _Moves(m, t, h, b, width, max_states)
     # interior needs t < base; if no shape recurs before the join, none is (base <= s)
-    interior_above = t if n - interior.window > h else s
+    interior_above = t if n - memo.window > h else s
     for cols in range(n, h, -1):
         cap_next = (cols - 1) * t
         nxt: dict[bytes, int] = {}
@@ -139,9 +149,9 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
             if interior_above < vs[0] and vs[-1] <= cap_next:
-                moves = interior.moves(code, vs, mus, cols)
+                moves = memo.interior(code, vs, mus, cols)
             else:
-                moves = _allocations(vs, mus, b, t, cap_next)
+                moves = memo.allocations(vs, mus, cap_next)
             for child, labelings in moves:
                 work += 1
                 if work > max_work:
@@ -162,7 +172,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                         f"state cap exhausted counting {spec}: "
                         f"{len(nxt) + 1} states in one layer > {max_states}",
                         kind="states", limit=max_states, used=len(nxt) + 1)
-        interior.next_layer()
+        memo.next_layer()
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -186,22 +196,26 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     return total
 
 
-class _InteriorMoves:
-    """The moves of interior states, stored by shape (see the module notes).
+class _Moves:
+    """The moves of one count_exact pass, memoized under one budget.
 
-    layers holds one dict per layer, the newest last, for the current layer
-    and the m // gcd(m, t) before it; each maps a shape met in that layer
-    to two parallel tuples: the child codes shifted down by base - t, and
-    their labelings.  held counts the moves stored, at most max_states.
+    options maps a class key (mu, lo, hi, hi == v) to a dict from the class
+    total A to its option list: (code, labelings) pairs, the code relative
+    to digit v - hi (see the module notes).  layers holds one dict per
+    layer, the newest last, for the current layer and the m // gcd(m, t)
+    before it; each maps an interior shape met in that layer to two parallel
+    tuples: the child codes shifted down by base - t, and their labelings.
+    held counts the options and moves stored, at most max_states.
     """
 
     def __init__(self, m: int, t: int, h: int, b: int, width: int, max_states: int):
         self.t, self.h, self.b, self.width, self.max_states = t, h, b, width, max_states
         self.window = m // gcd(m, t)
         self.layers: deque[dict] = deque([{}])
+        self.options: dict[tuple, dict] = {}
         self.held = 0
 
-    def moves(self, code: int, vs: list[int], mus: list[int], cols: int):
+    def interior(self, code: int, vs: list[int], mus: list[int], cols: int):
         """(child code, labelings) pairs of an interior state with cols left."""
         t, b, layers = self.t, self.b, self.layers
         base = vs[0]
@@ -216,15 +230,15 @@ class _InteriorMoves:
             codes, labels = entry
             return zip(map(shift.__rlshift__, codes), labels)
         cap_next = (cols - 1) * t
-        moves = _allocations(vs, mus, b, t, cap_next)
+        moves = self.allocations(vs, mus, cap_next)
         # cache only a shape that is interior again `period` layers on
         drop = period * t // rows
         if (period > self.window or cols - period <= self.h or base - drop <= t
                 or vs[-1] - drop > cap_next - period * t):
             return moves
-        room = self.max_states - self.held
-        first = list(islice(moves, room + 1))
-        if len(first) > room:
+        first = list(islice(moves, self.max_states - self.held + 1))
+        # enumerating may have stored option lists, so the room is read after
+        if len(first) > self.max_states - self.held:
             return chain(first, moves)
         self.held += len(first)
         layers[-1][shape] = (tuple(child >> shift for child, _ in first),
@@ -236,6 +250,145 @@ class _InteriorMoves:
         self.layers.append({})
         if len(self.layers) > self.window + 1:
             self.held -= sum(len(entry[0]) for entry in self.layers.popleft().values())
+
+    def allocations(self, vs: list[int], mus: list[int], cap_next: int):
+        """(child code, labelings) for every way to spend one column.
+
+        mus[i] rows have deficit vs[i], the deficits increasing; each row
+        takes an amount in [max(0, v - cap_next), min(v, t)] and the amounts
+        sum to t.
+        """
+        b, t = self.b, self.t
+        last = len(vs) - 1
+        # the largest deficit is the last; most states have no positive bound
+        if vs[-1] > cap_next:
+            lo = [v - cap_next if v > cap_next else 0 for v in vs]
+        else:
+            lo = [0] * (last + 1)
+        hi = [v if v < t else t for v in vs]
+        if last == 0:
+            # one class: its options are the moves, used once, so not stored
+            v, low, high = vs[0], lo[0], hi[0]
+            options = _class_options(mus[0], low, high, high == v, t, b)
+            shift = b * (v - high)
+            return options if shift == 0 else (
+                (code << shift, labelings) for code, labelings in options)
+        return self._walk(vs, mus, lo, hi, last)
+
+    def _walk(self, vs: list[int], mus: list[int], lo: list[int], hi: list[int], last: int):
+        """Yield the moves of a state of several classes, class by class.
+
+        A stack entry (ci, rem, code, ways, a) has placed the classes before
+        ci with rem units left; with a >= 0 it still has to take each option
+        of class ci at total a, already counted in rem.  Class ci takes the
+        totals that the classes after it can complete, and the last class
+        takes rem in one lookup.  A class of one row has one option per
+        total, a single digit, and no list.
+        """
+        b = self.b
+        # fewest and most units the classes from ci on can absorb
+        min_after = [0] * (last + 2)
+        max_after = [0] * (last + 2)
+        tables = [None] * (last + 1)
+        for ci in range(last, -1, -1):
+            mu = mus[ci]
+            min_after[ci] = min_after[ci + 1] + mu * lo[ci]
+            max_after[ci] = max_after[ci + 1] + mu * hi[ci]
+            if mu > 1:
+                key = (mu, lo[ci], hi[ci], hi[ci] == vs[ci])
+                tables[ci] = self.options.setdefault(key, {})
+        v2, mu2, lo2, hi2, table2 = vs[last], mus[last], lo[last], hi[last], tables[last]
+        shift2 = b * (v2 - hi2)
+        stack = [(0, self.t, 0, 1, -1)]
+        while stack:
+            ci, rem, code, ways, a = stack.pop()
+            v, mu, low, high, table = vs[ci], mus[ci], lo[ci], hi[ci], tables[ci]
+            shift = b * (v - high)
+            if a >= 0:
+                for option, labelings in table.get(a) or self._build(table, mu, low, high, v, a):
+                    stack.append((ci + 1, rem, code + (option << shift), ways * labelings, -1))
+                continue
+            # plain comparisons, not min()/max(): this runs once per partial
+            a_lo = rem - max_after[ci + 1]
+            if a_lo < mu * low:
+                a_lo = mu * low
+            a_hi = rem - min_after[ci + 1]
+            if a_hi > mu * high:
+                a_hi = mu * high
+            if ci + 1 < last:
+                # one list at a time on the stack: a class's lists over all
+                # its totals can be far longer than one
+                for a in range(a_hi, a_lo - 1, -1):
+                    if table is None:
+                        stack.append((ci + 1, rem - a,
+                                      code + (1 << b * (v - a)) if a < v else code, ways, -1))
+                    else:
+                        stack.append((ci, rem - a, code, ways, a))
+                continue
+            for a in range(a_hi, a_lo - 1, -1):
+                r = rem - a
+                if table is None:
+                    options = ((1 << b * (high - a)) if a < v else 0, 1),
+                else:
+                    options = table.get(a) or self._build(table, mu, low, high, v, a)
+                if table2 is None:
+                    # the last class is one row taking r
+                    digit = (1 << b * (v2 - r)) if r < v2 else 0
+                    for option, labelings in options:
+                        yield code + (option << shift) + digit, ways * labelings
+                    continue
+                options2 = table2.get(r) or self._build(table2, mu2, lo2, hi2, v2, r)
+                for option, labelings in options:
+                    head, w = code + (option << shift), ways * labelings
+                    for option2, labelings2 in options2:
+                        yield head + (option2 << shift2), w * labelings2
+
+    def _build(self, table: dict, mu: int, lo: int, hi: int, v: int, total: int) -> list:
+        """The option list of a class at one total, stored if the budget has room."""
+        options = list(_class_options(mu, lo, hi, hi == v, total, self.b))
+        if len(options) <= self.max_states - self.held:
+            table[total] = options
+            self.held += len(options)
+        return options
+
+
+def _class_options(mu: int, lo: int, hi: int, fin: bool, total: int, b: int):
+    """Yield (code, labelings) for each multiset of mu amounts in [lo, hi] summing to total.
+
+    A row taking x adds 1 << b * (hi - x) to the code, except that with fin
+    (hi is the class's deficit) a row taking hi finishes and adds nothing;
+    labelings = mu! / prod k_x!, the ways to hand the amounts to labeled
+    rows.  A stack entry (a, rows, rem, ways, code) still has to hand
+    amounts <= a to `rows` rows with rem units left; only entries that can
+    still be completed are pushed.
+    """
+    stack = [(hi, mu, total, 1, 0)]
+    while stack:
+        a, rows, rem, ways, code = stack.pop()
+        if a > rem:
+            a = rem
+        # every remaining row takes the lower bound
+        left = rem - rows * lo
+        if left == 0:
+            yield (code + (rows << b * (hi - lo)) if lo < hi or not fin else code), ways
+            continue
+        # k >= 1 rows take amount x, the rest take less
+        for x in range(a, lo, -1):
+            kmin = rem - rows * (x - 1)
+            if kmin > rows:
+                break
+            kmax = left // (x - lo)
+            if kmin < 1:
+                kmin = 1
+            if kmax > rows:
+                kmax = rows
+            shift = b * (hi - x)
+            for k in range(kmin, kmax + 1):
+                child = code + (k << shift) if x < hi or not fin else code
+                if k == rows:
+                    yield child, ways
+                else:
+                    stack.append((x - 1, rows - k, rem - k * x, ways * comb(rows, k), child))
 
 
 def _decode(code: int, b: int) -> tuple[list[int], list[int]]:
@@ -263,72 +416,6 @@ def _complement(vs: list[int], mus: list[int], s: int, m: int, b: int) -> int:
 def _orbit(mus: list[int], m: int) -> int:
     """Labeled deficit vectors with these multiplicities: m! / (z! * prod mu!)."""
     return factorial(m) // (factorial(m - sum(mus)) * prod(map(factorial, mus)))
-
-
-def _allocations(vs: list[int], mus: list[int], b: int, t: int, cap_next: int):
-    """Yield (child code, labelings) for every way to spend one column.
-
-    mus[i] rows have deficit vs[i], the deficits increasing; each row takes
-    an amount in [max(0, v - cap_next), min(v, t)] and the amounts sum to t.
-    A stack entry (ci, a, rows, rem, ways, code) still has to hand amounts
-    <= a to `rows` rows of class ci, then fill the later classes, with rem
-    units left; code holds the rows placed so far.  Only entries that can
-    still be completed are pushed.
-    """
-    last = len(vs) - 1
-    # the largest deficit is the last; most states have no positive bound
-    if vs[-1] > cap_next:
-        lo = [v - cap_next if v > cap_next else 0 for v in vs]
-    else:
-        lo = [0] * (last + 1)
-    # fewest and most units the classes after ci can absorb
-    min_after = [0] * (last + 2)
-    max_after = [0] * (last + 2)
-    for ci in range(last, 0, -1):
-        v, mu = vs[ci], mus[ci]
-        min_after[ci] = min_after[ci + 1] + mu * lo[ci]
-        max_after[ci] = max_after[ci + 1] + mu * (v if v < t else t)
-    stack = [(0, t, mus[0], t, 1, 0)]
-    while stack:
-        ci, a, rows, rem, ways, code = stack.pop()
-        if rows == 0:
-            ci += 1
-            rows, a = mus[ci], rem
-        v = vs[ci]
-        # plain comparisons, not min()/max(): this loop runs once per
-        # allocation, and the calls cost about a third of its time
-        if a > v:
-            a = v
-        if a > rem:
-            a = rem
-        low = lo[ci]
-        lo_after, hi_after = min_after[ci + 1], max_after[ci + 1]
-        # every remaining row of the class takes the lower bound
-        left = rem - rows * low
-        if lo_after <= left <= hi_after:
-            child = code + (rows << b * (v - low)) if v > low else code
-            if ci == last:
-                yield child, ways
-            else:
-                stack.append((ci, low, 0, left, ways, child))
-        # k >= 1 rows take amount x, the rest of the class takes less
-        for x in range(a, low, -1):
-            kmin = rem - hi_after - rows * (x - 1)
-            if kmin > rows:
-                break
-            kmax = (left - lo_after) // (x - low)
-            if kmin < 1:
-                kmin = 1
-            if kmax > rows:
-                kmax = rows
-            shift = b * (v - x)
-            for k in range(kmin, kmax + 1):
-                child = code + (k << shift) if v > x else code
-                if k == rows and ci == last:
-                    yield child, ways * comb(rows, k)
-                else:
-                    stack.append((ci, x - 1, rows - k, rem - k * x,
-                                  ways * comb(rows, k), child))
 
 
 def count_bruteforce(spec: TableSpec) -> int:
@@ -373,30 +460,47 @@ def _two_column_count(vs: list[int], mus: list[int], t: int) -> int:
     """Labeled solutions of sum(x_i) = t with max(0, v_i - t) <= x_i <= min(v_i, t).
 
     mus[i] rows have deficit vs[i].  Standard inclusion exclusion over
-    per-class bound violations after shifting each x to its lower bound;
-    terms are keyed by the units they leave, equal remainders summed once.
+    per-class bound violations after shifting each x to its lower bound: a
+    term (units left, signed count of violation sets) adds its weight times
+    the solutions without upper bounds.  This runs once per state of the
+    last layer, so signs and binomials are running products and terms stay
+    an unmerged list: the join takes this path only for n <= 5, so at most
+    five rows and 2**5 terms, and two rows make one class, whose terms all
+    differ.
     """
     rows = 0
     shifted = t
-    caps = []
     for v, mu in zip(vs, mus):
-        lo, hi = max(0, v - t), min(v, t)
-        if hi < lo:
-            return 0
         rows += mu
-        shifted -= mu * lo
-        caps.append((hi - lo + 1, mu))
+        if v > t:
+            # the bounds [v - t, t] are empty past 2t
+            if v > 2 * t:
+                return 0
+            shifted -= mu * (v - t)
     if shifted < 0:
         return 0
-    terms = {shifted: 1}       # units left -> signed count of violation sets
-    for step, mu in caps:
-        nxt: dict[int, int] = {}
-        for rem, weight in terms.items():
-            for j in range(min(mu, rem // step) + 1):
-                key = rem - j * step
-                nxt[key] = nxt.get(key, 0) + (-1) ** j * comb(mu, j) * weight
-        terms = nxt
-    return sum(w * comb(rem + rows - 1, rows - 1) for rem, w in terms.items())
+    terms = [(shifted, 1)]
+    for v, mu in zip(vs, mus):
+        # a violation takes a row hi - lo + 1 units past its lower bound
+        step = v + 1 if v <= t else 2 * t - v + 1
+        if step > shifted:
+            continue
+        if mu == 1:
+            # nearly every call ((3,1000,3,1000): 83333 of 83834) has only
+            # one-row classes, and a comprehension is the cheapest step
+            terms += [(rem - step, -weight) for rem, weight in terms if rem >= step]
+            continue
+        more = []
+        for rem, weight in terms:
+            # weight * (-1) ** j * comb(mu, j) for j violations
+            for j in range(1, mu + 1):
+                rem -= step
+                if rem < 0:
+                    break
+                weight = -weight * (mu - j + 1) // j
+                more.append((rem, weight))
+        terms += more
+    return sum(w * comb(rem + rows - 1, rows - 1) for rem, w in terms)
 
 
 def _compositions(total: int, parts: int):

@@ -284,9 +284,14 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
             # padded table; mode="clip" sends every v < -1 to the zero row too
             at = (t_rem + 1) * size + cols - xs[:rows] * size
             p = a[:rows, i] * pad[i + 1].reshape(-1).take(at, mode="clip")
-            cdf = p.copy()
-            for x in range(1, rows):
-                cdf[x] += cdf[x - 1]
+            # cumsum runs down the strided axis, so it wins only when the
+            # draw has more rows than samples; both add in x order
+            if rows > size:
+                cdf = np.cumsum(p, axis=0)
+            else:
+                cdf = p.copy()
+                for x in range(1, rows):
+                    cdf[x] += cdf[x - 1]
             z = cdf[-1]
             assert (z > 0).all(), "proposal support vanished"
             idx = (cdf < uniforms[:, j * m + i] * z).sum(axis=0)

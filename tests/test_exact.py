@@ -1,12 +1,15 @@
 """Exact counting: brute-force cross-checks, closed forms, resource caps."""
 
+import itertools
 import math
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from contab import exact
 from contab.core import InvalidSpecError, ResourceLimitError, leading_digits, make_spec
 from contab.exact import (
     BRUTEFORCE_MAX_CELLS,
@@ -204,6 +207,86 @@ def test_move_cache_cap_keeps_the_count():
     count = count_exact(spec)
     assert leading_digits(count, 6) == (101100, 68)
     assert count_exact(spec, max_states=2000) == count
+
+
+def test_option_budget_keeps_the_count(monkeypatch):
+    # no layer of (4,12,4,12) holds more than 86 states, but its option
+    # lists reach 519 entries, so under 200 the shared budget fills with
+    # options first and later lists are built and used but not stored
+    memos = []
+
+    class Recorded(exact._Moves):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(exact, "_Moves", Recorded)
+    spec = make_spec(4, 12, 4, 12)
+    count = count_exact(spec)
+    assert (count, memos[-1].held) == (20158151, 519)
+    assert count_exact(spec, max_states=200) == count
+    assert memos[-1].held == 200
+
+
+def test_work_cap_is_prompt_on_wide_margins():
+    # the one state of the first layer has 1.3 million moves, 1 KB each;
+    # they are streamed, not stored, so the cap stops the pass at once
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            count_exact(make_spec(3, 4000, 3, 4000), max_work=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.kind, err.value.limit, err.value.used) == ("work", 10_000, 10_001)
+    assert peak < 32 << 20
+
+
+def _labeled_moves(deficits, t, cap_next, b):
+    # every labeled amount tuple, grouped by its child and by the amounts
+    # each deficit class takes; a group is one allocation, its size the
+    # allocation's labelings
+    groups = Counter()
+    ranges = [range(max(0, v - cap_next), min(v, t) + 1) for v in deficits]
+    for xs in itertools.product(*ranges):
+        if sum(xs) == t:
+            child = sum(1 << b * (v - x) for v, x in zip(deficits, xs) if v > x)
+            groups[child, tuple(sorted(zip(deficits, xs)))] += 1
+    return Counter((child, size) for (child, _), size in groups.items())
+
+
+def _deficits(code, b, s):
+    return [v for v in range(1, s + 1) for _ in range((code >> b * v) & ((1 << b) - 1))]
+
+
+def test_allocations_match_a_labeled_enumeration():
+    # every state of the first two layers of small shapes, both parities of
+    # n; one memo per shape so later states reuse stored option lists, and
+    # one with no budget, which stores none
+    shapes = [(m, s, n, m * s // n) for m in range(2, 6) for s in range(1, 9)
+              for n in range(m, 9) if m * s % n == 0 and (m * s // n + 1) ** m <= 4096]
+    assert {n % 2 for _, _, n, _ in shapes} == {0, 1}
+    stored = 0
+    for m, s, n, t in shapes:
+        b = m.bit_length()
+        memos = [exact._Moves(m, t, 2, b, s + 1, budget) for budget in (10 ** 6, 0)]
+        start = [s] * m
+        layers = [(n, [start])]
+        if n > 2:
+            children = _labeled_moves(start, t, (n - 1) * t, b)
+            layers.append((n - 1, sorted(_deficits(c, b, s) for c in {c for c, _ in children})))
+        for cols, states in layers:
+            cap_next = (cols - 1) * t
+            for deficits in states:
+                classes = sorted(Counter(deficits).items())
+                vs, mus = [v for v, _ in classes], [mu for _, mu in classes]
+                want = _labeled_moves(deficits, t, cap_next, b)
+                for memo in memos:
+                    got = Counter(memo.allocations(vs, mus, cap_next))
+                    assert got == want, ((m, s, n, t), deficits, memo.max_states)
+        assert memos[1].held == 0
+        stored += memos[0].held
+    assert stored > 0
 
 
 def _three_rows(s, n, t):
