@@ -246,9 +246,13 @@ def _verify_integral(args, spec) -> dict:
 
 def _check_hypothesis(args, spec) -> dict:
     lhs = estimators.hypothesis_lhs(spec)
+    # JSON has no infinity: with n == 1 there is no smallest coefficient
     fields = {"lhs": str(lhs), "lhs_float": float(lhs),
-              "min_coefficient": estimators.hypothesis_min_coefficient(spec)}
+              "min_coefficient": None if spec.n == 1
+              else estimators.hypothesis_min_coefficient(spec)}
     if args.a is not None:
+        if not math.isfinite(args.a):
+            raise InvalidSpecError(f"--a must be finite, got {args.a}")
         threshold = args.a * math.log(spec.n)
         fields.update(a=args.a, threshold=threshold,
                       satisfied=bool(float(lhs) >= threshold))

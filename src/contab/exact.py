@@ -32,8 +32,7 @@ digit v - hi, shifted up by b * (v - hi) where used; a row taking hi = v
 finishes and adds nothing.  For each class but the last the walk takes
 every total that the classes after it can complete and every option at
 that total; the last class takes the units left in one lookup.  k rows
-landing at deficit d add k << (b * d): no sort, no merge.  A class of one
-row needs no list, its option at a total being one digit; a state of one
+landing at deficit d add k << (b * d): no sort, no merge.  A state of one
 class streams its only list unstored, since no benchmark shape met such a
 list twice in a pass.
 
@@ -42,16 +41,12 @@ has t < v <= (c - 1) * t with c columns left, so every row may take any
 amount 0..t and none finishes.  The moves of an interior state then depend
 on its shape alone (the code shifted down by its smallest deficit, the
 base): each child is a fixed code shifted up by base - t digits.  They are
-enumerated once per shape and replayed, one shift each, while the shape
-recurs (11847 of the 13168 interior states of (3,98,49,6)).  A shape of k
-live rows keeps its mass only if its base drops by t / k per layer, so it
-recurs only every k // gcd(k, t) layers; the cache keeps the shapes of the
-last m // gcd(m, t) layers and stores only a shape that is interior again
-when it can recur.  A pass too short for any shape to recur before the join
-treats no state as interior.  A replayed move counts one unit of work and
-meets the state cap in the enumeration's order.  Stored moves and stored
-options share one bound of max_states entries; a shape or an option list
-met past it is enumerated and used but not stored.
+enumerated once per shape and pass, kept in one dict, and replayed, one
+shift each, whenever the shape recurs (11847 of the 13168 interior states
+of (3,98,49,6)).  A replayed move counts one unit of work and meets the
+state cap in the enumeration's order.  Stored moves and stored options
+share one bound of max_states entries and are never evicted; a shape or an
+option list met past it is enumerated and used but not stored.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -89,9 +84,8 @@ independent oracle for small instances.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, islice
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
 
@@ -114,8 +108,11 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
 
     max_states caps the states held in one column layer (default 2**20);
     max_work caps the total number of enumerated column allocations
-    (default 10**9).
+    (default 10**9).  A negative cap is an InvalidSpecError.
     """
+    if max_states < 0 or max_work < 0:
+        raise InvalidSpecError(
+            f"caps must be nonnegative, got max_states={max_states}, max_work={max_work}")
     if spec.s == 0:
         return 1
     sp = spec if spec.m <= spec.n else spec.transpose()
@@ -137,9 +134,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     layer = {(m << b * s).to_bytes(width, "little"): 1}
     mirror = layer
     work = 0
-    memo = _Moves(m, t, h, b, width, max_states)
-    # interior needs t < base; if no shape recurs before the join, none is (base <= s)
-    interior_above = t if n - memo.window > h else s
+    memo = _Moves(t, b, width, max_states)
     for cols in range(n, h, -1):
         cap_next = (cols - 1) * t
         nxt: dict[bytes, int] = {}
@@ -148,7 +143,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             vs, mus = _decode(code, b)
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            if interior_above < vs[0] and vs[-1] <= cap_next:
+            if t < vs[0] and vs[-1] <= cap_next:
                 moves = memo.interior(code, vs, mus, cols)
             else:
                 moves = memo.allocations(vs, mus, cap_next)
@@ -172,7 +167,6 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                         f"state cap exhausted counting {spec}: "
                         f"{len(nxt) + 1} states in one layer > {max_states}",
                         kind="states", limit=max_states, used=len(nxt) + 1)
-        memo.next_layer()
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -201,55 +195,37 @@ class _Moves:
 
     options maps a class key (mu, lo, hi, hi == v) to a dict from the class
     total A to its option list: (code, labelings) pairs, the code relative
-    to digit v - hi (see the module notes).  layers holds one dict per
-    layer, the newest last, for the current layer and the m // gcd(m, t)
-    before it; each maps an interior shape met in that layer to two parallel
-    tuples: the child codes shifted down by base - t, and their labelings.
-    held counts the options and moves stored, at most max_states.
+    to digit v - hi (see the module notes).  shapes maps an interior shape
+    to two parallel tuples: its child codes shifted down by base - t, and
+    their labelings.  held counts the options and moves stored, at most
+    max_states; nothing is evicted before the pass ends.
     """
 
-    def __init__(self, m: int, t: int, h: int, b: int, width: int, max_states: int):
-        self.t, self.h, self.b, self.width, self.max_states = t, h, b, width, max_states
-        self.window = m // gcd(m, t)
-        self.layers: deque[dict] = deque([{}])
+    def __init__(self, t: int, b: int, width: int, max_states: int):
+        self.t, self.b, self.width, self.max_states = t, b, width, max_states
+        self.shapes: dict[bytes, tuple] = {}
         self.options: dict[tuple, dict] = {}
         self.held = 0
 
     def interior(self, code: int, vs: list[int], mus: list[int], cols: int):
         """(child code, labelings) pairs of an interior state with cols left."""
-        t, b, layers = self.t, self.b, self.layers
         base = vs[0]
-        shape = (code >> b * base).to_bytes(self.width, "little")
+        shape = (code >> self.b * base).to_bytes(self.width, "little")
         # every child deficit is at least base - t
-        shift = b * (base - t)
-        rows = sum(mus)
-        period = rows // gcd(rows, t)
-        entry = layers[-1 - period].pop(shape, None) if period < len(layers) else None
+        shift = self.b * (base - self.t)
+        entry = self.shapes.get(shape)
         if entry is not None:
-            layers[-1][shape] = entry
             codes, labels = entry
             return zip(map(shift.__rlshift__, codes), labels)
-        cap_next = (cols - 1) * t
-        moves = self.allocations(vs, mus, cap_next)
-        # cache only a shape that is interior again `period` layers on
-        drop = period * t // rows
-        if (period > self.window or cols - period <= self.h or base - drop <= t
-                or vs[-1] - drop > cap_next - period * t):
-            return moves
+        moves = self.allocations(vs, mus, (cols - 1) * self.t)
         first = list(islice(moves, self.max_states - self.held + 1))
         # enumerating may have stored option lists, so the room is read after
         if len(first) > self.max_states - self.held:
             return chain(first, moves)
         self.held += len(first)
-        layers[-1][shape] = (tuple(child >> shift for child, _ in first),
-                             tuple(labelings for _, labelings in first))
+        self.shapes[shape] = (tuple(child >> shift for child, _ in first),
+                              tuple(labelings for _, labelings in first))
         return first
-
-    def next_layer(self) -> None:
-        """Start a layer; drop the one that fell out of the window."""
-        self.layers.append({})
-        if len(self.layers) > self.window + 1:
-            self.held -= sum(len(entry[0]) for entry in self.layers.popleft().values())
 
     def allocations(self, vs: list[int], mus: list[int], cap_next: int):
         """(child code, labelings) for every way to spend one column.
@@ -282,8 +258,7 @@ class _Moves:
         ci with rem units left; with a >= 0 it still has to take each option
         of class ci at total a, already counted in rem.  Class ci takes the
         totals that the classes after it can complete, and the last class
-        takes rem in one lookup.  A class of one row has one option per
-        total, a single digit, and no list.
+        takes rem in one lookup.
         """
         b = self.b
         # fewest and most units the classes from ci on can absorb
@@ -294,9 +269,7 @@ class _Moves:
             mu = mus[ci]
             min_after[ci] = min_after[ci + 1] + mu * lo[ci]
             max_after[ci] = max_after[ci + 1] + mu * hi[ci]
-            if mu > 1:
-                key = (mu, lo[ci], hi[ci], hi[ci] == vs[ci])
-                tables[ci] = self.options.setdefault(key, {})
+            tables[ci] = self.options.setdefault((mu, lo[ci], hi[ci], hi[ci] == vs[ci]), {})
         v2, mu2, lo2, hi2, table2 = vs[last], mus[last], lo[last], hi[last], tables[last]
         shift2 = b * (v2 - hi2)
         stack = [(0, self.t, 0, 1, -1)]
@@ -319,24 +292,11 @@ class _Moves:
                 # one list at a time on the stack: a class's lists over all
                 # its totals can be far longer than one
                 for a in range(a_hi, a_lo - 1, -1):
-                    if table is None:
-                        stack.append((ci + 1, rem - a,
-                                      code + (1 << b * (v - a)) if a < v else code, ways, -1))
-                    else:
-                        stack.append((ci, rem - a, code, ways, a))
+                    stack.append((ci, rem - a, code, ways, a))
                 continue
             for a in range(a_hi, a_lo - 1, -1):
                 r = rem - a
-                if table is None:
-                    options = ((1 << b * (high - a)) if a < v else 0, 1),
-                else:
-                    options = table.get(a) or self._build(table, mu, low, high, v, a)
-                if table2 is None:
-                    # the last class is one row taking r
-                    digit = (1 << b * (v2 - r)) if r < v2 else 0
-                    for option, labelings in options:
-                        yield code + (option << shift) + digit, ways * labelings
-                    continue
+                options = table.get(a) or self._build(table, mu, low, high, v, a)
                 options2 = table2.get(r) or self._build(table2, mu2, lo2, hi2, v2, r)
                 for option, labelings in options:
                     head, w = code + (option << shift), ways * labelings

@@ -89,6 +89,8 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
                      max_dims: int = MAX_DIMENSIONS) -> complex:
     """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid."""
     lam = float(spec.positive_density())
+    if max_evals < 0:
+        raise InvalidSpecError(f"max_evals must be nonnegative, got {max_evals}")
     if spec.m + spec.n > max_dims:
         raise InvalidSpecError(
             f"torus quadrature restricted to m+n <= {max_dims}, "

@@ -83,6 +83,19 @@ def test_cap_hit_writes_a_record():
                    "limit": 1000, "used": 1001}
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "3", "3", "3", "3", "--max-work", "-1"),
+    ("count", "3", "3", "3", "3", "--max-states", "-1"),
+    ("ehrhart", "2", "3", "--max-work", "-1"),
+    ("verify-integral", "2", "2", "2", "2", "--grid", "8", "--max-evals", "-1"),
+])
+def test_negative_cap_is_a_domain_error(argv):
+    # a cap below zero is a bad argument, not a cap hit: exit 1, no record
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("contab: error: ")
+
+
 def test_wide_margins_write_a_state_cap_record():
     # keys of three rows at s = 5000 outgrow the per-state budget
     code, out, err = run("count", "3", "5000", "3", "5000", "--format", "json")
@@ -311,6 +324,29 @@ def test_check_hypothesis_rational_and_threshold():
     assert rec["lhs"] == "3"
     assert rec["satisfied"] is False
     assert math.isclose(rec["threshold"], 5.0 * math.log(2), rel_tol=1e-12)
+
+
+def _strict_json(out):
+    # RFC 8259 has no NaN or Infinity; json.loads accepts them unless told not to
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(out, parse_constant=reject)
+
+
+def test_check_hypothesis_json_is_strict():
+    code, out, _ = run("check-hypothesis", "1", "1", "1", "1", "--format", "json")
+    assert code == 0
+    assert _strict_json(out)["min_coefficient"] is None
+    code, out, _ = run("check-hypothesis", "1", "1", "1", "1", "--a", "2")
+    assert code == 0 and "min_coefficient" not in out
+    rec = _strict_json(run("check-hypothesis", "2", "2", "2", "2", "--a", "1",
+                           "--format", "json")[1])
+    assert math.isclose(rec["min_coefficient"], 3 / math.log(2), rel_tol=1e-12)
+    for a in ("nan", "inf", "-inf"):
+        code, out, err = run("check-hypothesis", "2", "2", "2", "2", f"--a={a}",
+                             "--format", "json")
+        assert (code, out) == (1, ""), a
+        assert err.startswith("contab: error: "), a
 
 
 def test_delta_inside_open_interval():

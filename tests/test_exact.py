@@ -193,26 +193,15 @@ def test_work_cap_raises_with_diagnostics():
 
 def test_work_cap_inside_cached_moves():
     # step 200000 of (3,98,49,6) replays the stored moves of an interior
-    # shape met one layer earlier; the budget is still checked per step
+    # shape met earlier in the pass; the budget is still checked per step
     with pytest.raises(ResourceLimitError) as err:
         count_exact(make_spec(3, 98, 49, 6), max_work=199_999)
     assert err.value.kind == "work"
     assert (err.value.limit, err.value.used) == (199_999, 200_000)
 
 
-def test_move_cache_cap_keeps_the_count():
-    # no layer of (3,98,49,6) holds more than 1249 states, but its cached
-    # interior moves outgrow 2000, so later shapes are expanded uncached
-    spec = make_spec(3, 98, 49, 6)
-    count = count_exact(spec)
-    assert leading_digits(count, 6) == (101100, 68)
-    assert count_exact(spec, max_states=2000) == count
-
-
-def test_option_budget_keeps_the_count(monkeypatch):
-    # no layer of (4,12,4,12) holds more than 86 states, but its option
-    # lists reach 519 entries, so under 200 the shared budget fills with
-    # options first and later lists are built and used but not stored
+def _record_memos(monkeypatch):
+    # the move memo of every later count_exact call, in call order
     memos = []
 
     class Recorded(exact._Moves):
@@ -221,9 +210,30 @@ def test_option_budget_keeps_the_count(monkeypatch):
             memos.append(self)
 
     monkeypatch.setattr(exact, "_Moves", Recorded)
+    return memos
+
+
+def test_move_cache_cap_keeps_the_count(monkeypatch):
+    # no layer of (3,98,49,6) holds more than 1249 states, but its stored
+    # interior moves outgrow 2000; nothing is evicted, so the state cap is
+    # the memo's only bound and later shapes are expanded unstored
+    memos = _record_memos(monkeypatch)
+    spec = make_spec(3, 98, 49, 6)
+    count = count_exact(spec)
+    assert leading_digits(count, 6) == (101100, 68)
+    assert memos[-1].held > 2000
+    assert count_exact(spec, max_states=2000) == count
+    assert 0 < len(memos[-1].shapes) and memos[-1].held <= 2000
+
+
+def test_option_budget_keeps_the_count(monkeypatch):
+    # no layer of (4,12,4,12) holds more than 86 states, but its option
+    # lists reach 609 entries, so under 200 the shared budget fills with
+    # options first and later lists are built and used but not stored
+    memos = _record_memos(monkeypatch)
     spec = make_spec(4, 12, 4, 12)
     count = count_exact(spec)
-    assert (count, memos[-1].held) == (20158151, 519)
+    assert (count, memos[-1].held) == (20158151, 609)
     assert count_exact(spec, max_states=200) == count
     assert memos[-1].held == 200
 
@@ -269,7 +279,7 @@ def test_allocations_match_a_labeled_enumeration():
     stored = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
-        memos = [exact._Moves(m, t, 2, b, s + 1, budget) for budget in (10 ** 6, 0)]
+        memos = [exact._Moves(t, b, s + 1, budget) for budget in (10 ** 6, 0)]
         start = [s] * m
         layers = [(n, [start])]
         if n > 2:
@@ -305,7 +315,7 @@ def _three_rows(s, n, t):
 
 def test_three_rows_with_row_sums_far_above_column_sums():
     # with s >> t most states have every deficit above t, so their moves
-    # come from the per-shape cache; the oracle fills two rows column by
+    # come from the interior-shape memo; the oracle fills two rows column by
     # column, and is itself checked against the brute force first
     for s in range(0, 7):
         for n in (3, 4):
