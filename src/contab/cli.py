@@ -5,6 +5,9 @@ independence decomposition, side-by-side comparison, importance sampling,
 Ehrhart polynomials, quadrature verification of the integral identity, and
 the applicability diagnostic.
 
+Each subcommand takes only the flags its handler reads (see build_parser);
+any other flag is a usage error.
+
 Records go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain error (bad arguments, unbalanced margins, margins too large for a
 float method), 2 resource cap hit or out of memory.  A cap hit still writes
@@ -50,17 +53,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output rendering (default text)")
-    common.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+    # flag groups; a subcommand takes only the groups its handler reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json", "csv"),
+                     default="text", help="output rendering (default text)")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
                         help="significant digits for scientific renderings")
-    common.add_argument("--max-states", default=exact.DEFAULT_MAX_STATES, type=int,
-                        help="state cap for exact counting")
-    common.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=int,
-                        help="work budget for exact counting: column allocations")
-    common.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=int,
-                        help="point budget for quadrature")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--max-states", default=exact.DEFAULT_MAX_STATES, type=int,
+                      help="state cap for exact counting")
+    caps.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=int,
+                      help="work budget for exact counting: column allocations")
     shape = argparse.ArgumentParser(add_help=False)
     for name in ("m", "s", "n", "t"):
         shape.add_argument(name, type=int)
@@ -70,31 +74,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  "matrices with constant row and column sums.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, summary):
-        return sub.add_parser(name, parents=[common, shape], help=summary)
+    def add(name, summary, *groups):
+        return sub.add_parser(name, parents=[fmt, *groups, shape], help=summary)
 
-    add("count", "exact count")
-    p = add("estimate", "closed-form estimates")
+    add("count", "exact count", caps)
+    p = add("estimate", "closed-form estimates", digits)
     p.add_argument("--method", required=True, choices=tuple(_ESTIMATE_METHODS))
-    add("decompose", "independence decomposition M = N*P1*P2*E")
+    add("decompose", "independence decomposition M = N*P1*P2*E", caps)
 
-    p = add("compare", "all estimates side by side, plus exact when feasible")
+    p = add("compare", "all estimates side by side, plus exact when feasible",
+            digits, caps)
     p.add_argument("--mc-samples", type=int, default=None,
                    help="add a Monte Carlo column with this many samples")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("mc", "importance-sampling estimate")
+    p = add("mc", "importance-sampling estimate", digits)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("ehrhart", parents=[common],
+    p = sub.add_parser("ehrhart", parents=[fmt, caps],
                        help="lattice-point polynomial of the margin polytope")
     for name in ("m", "n"):
         p.add_argument(name, type=int)
     p.add_argument("--eval", dest="eval_at", type=int, default=None,
                    metavar="Q", help="also evaluate the polynomial at Q")
 
-    p = add("verify-integral", "reconstruct the count from the torus integral")
+    p = add("verify-integral", "reconstruct the count from the torus integral", caps)
+    p.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=int,
+                   help="point budget for quadrature")
     p.add_argument("--grid", type=int, required=True, help="points per dimension")
     p.add_argument("--max-dims", type=int, default=integral.MAX_DIMENSIONS,
                    help="dimension cap m+n for the grid")
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None,
                    help="require lhs >= a * ln(n)")
 
-    add("delta", "bracket position of the exact count")
+    add("delta", "bracket position of the exact count", caps)
     return parser
 
 

@@ -43,24 +43,22 @@ class EhrhartPolynomial:
     h_vector: tuple[int, ...]
 
 
-def ehrhart_polynomial(m: int, n: int, counter=None, *,
+def ehrhart_polynomial(m: int, n: int, *,
                        max_states: int = DEFAULT_MAX_STATES,
                        max_work: int = DEFAULT_MAX_WORK) -> EhrhartPolynomial:
     """Interpolate the dilation polynomial for the m x n shape.
 
-    counter(spec) -> int supplies exact counts (defaults to count_exact).
+    Each exact count is count_exact under the caps max_states and max_work.
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise InvalidSpecError(f"need positive integer shape, got m={m!r}, n={n!r}")
-    if counter is None:
-        def counter(spec):
-            return count_exact(spec, max_states=max_states, max_work=max_work)
     lcm = m * n // math.gcd(m, n)
     s0, t0 = lcm // m, lcm // n
     d = (m - 1) * (n - 1)
 
     specs = [make_spec(m, q * s0, n, q * t0) for q in range(d + 2)]
-    values = [counter(sp) for sp in specs]
+    values = [count_exact(sp, max_states=max_states, max_work=max_work)
+              for sp in specs]
 
     coeffs = _newton_interpolate(values[:d + 1])
     poly = EhrhartPolynomial(m, n, s0, t0, d, coeffs,

@@ -41,9 +41,9 @@ has t < v <= (c - 1) * t with c columns left, so every row may take any
 amount 0..t and none finishes.  The moves of an interior state then depend
 on its shape alone (the code shifted down by its smallest deficit, the
 base): each child is a fixed code shifted up by base - t digits.  They are
-enumerated once per shape and pass, kept in one dict, and replayed, one
-shift each, whenever the shape recurs (11847 of the 13168 interior states
-of (3,98,49,6)).  A replayed move counts one unit of work and meets the
+recorded as the pass first draws them, once per shape and pass, kept in one
+dict, and replayed, one shift each, whenever the shape recurs (11847 of the
+13168 interior states of (3,98,49,6)).  A replayed move counts one unit of work and meets the
 state cap in the enumeration's order.  Stored moves and stored options
 share one bound of max_states entries and are never evicted; a shape or an
 option list met past it is enumerated and used but not stored.
@@ -84,7 +84,6 @@ independent oracle for small instances.
 
 from __future__ import annotations
 
-from itertools import chain, islice
 from math import comb, factorial, prod
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
@@ -217,15 +216,25 @@ class _Moves:
         if entry is not None:
             codes, labels = entry
             return zip(map(shift.__rlshift__, codes), labels)
-        moves = self.allocations(vs, mus, (cols - 1) * self.t)
-        first = list(islice(moves, self.max_states - self.held + 1))
-        # enumerating may have stored option lists, so the room is read after
-        if len(first) > self.max_states - self.held:
-            return chain(first, moves)
-        self.held += len(first)
-        self.shapes[shape] = (tuple(child >> shift for child, _ in first),
-                              tuple(labelings for _, labelings in first))
-        return first
+        return self._record(shape, shift, self.allocations(vs, mus, (cols - 1) * self.t))
+
+    def _record(self, shape: bytes, shift: int, moves):
+        """Yield the moves of an unseen shape; store them if they fit the budget.
+
+        Enumerating may store option lists, so the room is read after every
+        move and at the end; once the moves outgrow it the rest streams.
+        """
+        codes, labels = [], []
+        for child, labelings in moves:
+            yield child, labelings
+            if len(codes) >= self.max_states - self.held:
+                yield from moves
+                return
+            codes.append(child >> shift)
+            labels.append(labelings)
+        if len(codes) <= self.max_states - self.held:
+            self.held += len(codes)
+            self.shapes[shape] = (tuple(codes), tuple(labels))
 
     def allocations(self, vs: list[int], mus: list[int], cap_next: int):
         """(child code, labelings) for every way to spend one column.

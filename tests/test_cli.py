@@ -114,11 +114,48 @@ def test_max_work_caps_the_exact_count():
 
 
 def test_max_evals_no_longer_caps_the_exact_count():
-    # (3,100,3,100) takes 885 allocation steps: over 100, far under 10^9
-    rec = run_json("count", "3", "100", "3", "100", "--max-evals", "100")
-    assert rec["value"] == "13268976"
+    # count runs no quadrature, so it takes no quadrature budget; its own
+    # work cap still stops (3,100,3,100), which takes 885 allocation steps
+    code, out, err = run("count", "3", "100", "3", "100", "--max-evals", "100")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --max-evals" in err
     code, _, _ = run("count", "3", "100", "3", "100", "--max-work", "100")
     assert code == 2
+
+
+# the smallest valid call of each subcommand, and which of the five output
+# and cap flags its handler reads; each of the others is a usage error
+_SUBCOMMAND_FLAGS = {
+    ("count", "2", "2", "2", "2"): {"--format", "--max-states", "--max-work"},
+    ("estimate", "2", "2", "2", "2", "--method", "good"): {"--format", "--digits"},
+    ("decompose", "2", "2", "2", "2"): {"--format", "--max-states", "--max-work"},
+    ("compare", "2", "2", "2", "2"):
+        {"--format", "--digits", "--max-states", "--max-work"},
+    ("mc", "2", "2", "2", "2", "--samples", "10"): {"--format", "--digits"},
+    ("ehrhart", "2", "2"): {"--format", "--max-states", "--max-work"},
+    ("verify-integral", "2", "2", "2", "2", "--grid", "8"):
+        {"--format", "--max-states", "--max-work", "--max-evals"},
+    ("check-hypothesis", "2", "2", "2", "2"): {"--format"},
+    ("delta", "2", "2", "2", "2"): {"--format", "--max-states", "--max-work"},
+}
+# a value other than the default, within every cap these calls need
+_FLAG_VALUES = {"--format": "json", "--digits": "6", "--max-states": "1000",
+                "--max-work": "100000", "--max-evals": "100000"}
+_FLAG_CASES = [(argv, flag, flag in accepted)
+               for argv, accepted in _SUBCOMMAND_FLAGS.items() for flag in _FLAG_VALUES]
+
+
+@pytest.mark.parametrize("argv, flag, accepted", _FLAG_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _FLAG_CASES])
+def test_each_subcommand_takes_only_the_flags_it_reads(argv, flag, accepted):
+    code, out, err = run(*argv, flag, _FLAG_VALUES[flag])
+    if accepted:
+        assert code == 0, err
+        args = cli._PARSER.parse_args([*argv, flag, _FLAG_VALUES[flag]])
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == _FLAG_VALUES[flag]
+    else:
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_huge_margins_estimate_does_not_cancel():
@@ -425,7 +462,8 @@ def _source_env():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by the adaptive quadrature of peak_integral_check
+    # contab needs numpy alone: importing it loads no scipy, and with scipy
+    # made unimportable the peak-width check of --bounds still runs
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, contab, contab.cli; "
                            "print('scipy' in sys.modules)"],
@@ -433,6 +471,19 @@ def test_import_leaves_scipy_unloaded():
                           env=_source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; sys.modules['scipy'] = None; "
+                           "from contab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))",
+                           "verify-integral", "2", "1", "2", "1", "--grid", "12",
+                           "--bounds", "--format", "json"],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    # the peak-width ratio at density 1/2 and K = 10^4
+    assert rec["peak_within_bound"] and math.isclose(rec["peak_ratio"], 0.931146,
+                                                     rel_tol=1e-4)
 
 
 def test_mc_huge_margins_exit_two():

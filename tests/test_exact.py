@@ -252,6 +252,26 @@ def test_work_cap_is_prompt_on_wide_margins():
     assert peak < 32 << 20
 
 
+def test_work_cap_draws_no_moves_ahead(monkeypatch):
+    # the first interior shapes of (6,300,60,30) have thousands of moves;
+    # they are recorded as the pass draws them, so a work cap stops the
+    # enumeration at most one move past the budget
+    drawn = 0
+    allocations = exact._Moves.allocations
+
+    def counted(self, *args):
+        nonlocal drawn
+        for move in allocations(self, *args):
+            drawn += 1
+            yield move
+
+    monkeypatch.setattr(exact._Moves, "allocations", counted)
+    with pytest.raises(ResourceLimitError) as err:
+        count_exact(make_spec(6, 300, 60, 30), max_work=10_000)
+    assert (err.value.kind, err.value.used) == ("work", 10_001)
+    assert drawn <= 10_001
+
+
 def _labeled_moves(deficits, t, cap_next, b):
     # every labeled amount tuple, grouped by its child and by the amounts
     # each deficit class takes; a group is one allocation, its size the

@@ -248,9 +248,18 @@ def test_peak_within_bound_at_moderate_k():
         assert peak_integral_check(lam, 1e4).within_bound
 
 
+def test_peak_ratio_at_huge_k():
+    # at K = 1e12 the peak is a millionth of the arc wide; the ratio is
+    # 1 + 3 (9/4 + 27 A) / (4 A K) to first order in 1/K, with A = 1 at lam = 1
+    report = peak_integral_check(1.0, 1e12)
+    assert math.isclose(report.ratio - 1.0, 3 * (9 / 4 + 27) / 4e12, rel_tol=1e-2)
+    assert math.isclose(report.log_ratio, report.ratio - 1.0, rel_tol=1e-4)
+
+
 def test_peak_validation():
-    with pytest.raises(InvalidSpecError):
-        peak_integral_check(1.0, 0.0)
+    for k in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidSpecError):
+            peak_integral_check(1.0, k)
     with pytest.raises(InvalidSpecError):
         peak_integral_check(-2.0, 10.0)
 
