@@ -49,45 +49,3 @@ from .integral import (
 from .montecarlo import McEstimate, enumerate_proposal, mc_estimate, sample_table
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CountDecomposition",
-    "EhrhartPolynomial",
-    "EnvelopeReport",
-    "EstimateInterval",
-    "InvalidSpecError",
-    "LogEstimate",
-    "McEstimate",
-    "PeakIntegralReport",
-    "ResourceLimitError",
-    "TableSpec",
-    "bracket_delta",
-    "bracket_interval",
-    "bracket_log_value",
-    "closed_form_estimate",
-    "count_bruteforce",
-    "count_exact",
-    "ehrhart_polynomial",
-    "enumerate_proposal",
-    "envelope_check",
-    "evaluate",
-    "good_estimate",
-    "good_log",
-    "high_density_estimate",
-    "hypothesis_lhs",
-    "hypothesis_min_coefficient",
-    "independence_decomposition",
-    "integral_numeric",
-    "integrand",
-    "leading_coefficient",
-    "leading_digits",
-    "log_binomial",
-    "make_spec",
-    "mc_estimate",
-    "modulus_factor",
-    "peak_integral_check",
-    "reconstruct_count",
-    "refined_estimate",
-    "sample_table",
-    "__version__",
-]

@@ -181,12 +181,6 @@ class LogEstimate:
 
     log_value: float
 
-    @classmethod
-    def from_value(cls, value) -> "LogEstimate":
-        if value <= 0:
-            raise InvalidSpecError(f"LogEstimate needs a positive value, got {value!r}")
-        return cls(math.log(value))
-
     @property
     def log10(self) -> float:
         return self.log_value / LN10
@@ -233,9 +227,6 @@ class EstimateInterval:
         if lo == hi:
             return -math.inf
         return hi + math.log1p(-math.exp(lo - hi)) - math.log(2.0)
-
-    def contains_log(self, log_value: float) -> bool:
-        return self.low.log_value <= log_value <= self.high.log_value
 
     def scientific(self, digits: int = 4) -> str:
         """Rendering such as '(1.316 ± 0.217)e7'.

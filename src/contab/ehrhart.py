@@ -1,22 +1,24 @@
 """Lattice-point counting polynomial of the margin polytope.
 
-Fix the matrix shape m x n and scale the margins together: with
-s0 = lcm(m, n) / m and t0 = lcm(m, n) / n, the margins (q*s0, q*t0) are the
-q-th dilate of the polytope of nonnegative m x n matrices with equal row
-sums s0 and equal column sums t0.  The number of lattice points in the q-th
-dilate is a polynomial L(q) of degree d = (m-1)(n-1), so d+1 exact counts
-pin it down and every further count is a free consistency check.
+Fix the matrix shape m x n and scale the margins together: with g = gcd(m, n),
+s0 = n / g and t0 = m / g, the margins (q*s0, q*t0) are the q-th dilate of
+the polytope of nonnegative m x n matrices with row sums s0 and column sums
+t0.  The number of lattice points in the q-th dilate is a polynomial L(q) of
+degree d = (m-1)(n-1).
 
-ehrhart_polynomial interpolates L through the exact counts at q = 0..d
-(Newton forward differences, exact integer arithmetic), validates the
-result against the independent exact count at q = d+1, and performs the
-basis change to the h-vector defined by
+A table of the q-th dilate with every entry >= 1, minus the all-ones matrix,
+is a table of the dilate q - g, so the interior count is L(q - g).
+Ehrhart-Macdonald reciprocity then gives L(-q-g) = (-1)^d * L(q) for q >= 0
+and L(-1) = ... = L(-(g-1)) = 0.  The exact counts at q = 0..k, with the
+smallest k for which 2(k+1) + g - 1 >= d + 1, therefore fix L on the
+contiguous nodes -(g+k)..k: mirrored counts, the zeros, the counts.
 
-    L(q) = sum_{i=0..d} h[d-i] * binomial(q + i, d).
-
-The h-vector of a lattice polytope is a vector of nonnegative integers and
-satisfies sum(h) = d! * (leading coefficient); both are enforced here, so a
-counting or interpolation bug cannot produce a quietly wrong polynomial.
+ehrhart_polynomial fits L through those nodes by forward differences in
+exact integers, checks every node beyond the d+1 a fit needs, and validates
+L against the independent exact count at q = k+1.  The h-vector, defined by
+L(q) = sum_{i=0..d} h[d-i] * binomial(q + i, d), follows from L(0..d).  It
+is nonnegative with sum(h) = d! * (leading coefficient); both are enforced,
+so a counting or fitting bug cannot produce a quietly wrong polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .core import InvalidSpecError, make_spec
 from .exact import DEFAULT_MAX_STATES, DEFAULT_MAX_WORK, count_exact
@@ -52,28 +53,35 @@ def ehrhart_polynomial(m: int, n: int, *,
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise InvalidSpecError(f"need positive integer shape, got m={m!r}, n={n!r}")
-    lcm = m * n // math.gcd(m, n)
-    s0, t0 = lcm // m, lcm // n
+    g = math.gcd(m, n)
+    s0, t0 = n // g, m // g
     d = (m - 1) * (n - 1)
-
-    specs = [make_spec(m, q * s0, n, q * t0) for q in range(d + 2)]
-    values = [count_exact(sp, max_states=max_states, max_work=max_work)
-              for sp in specs]
-
-    coeffs = _newton_interpolate(values[:d + 1])
-    poly = EhrhartPolynomial(m, n, s0, t0, d, coeffs,
-                             _h_vector(values[:d + 1], d))
-
-    if poly.coefficients[d] == 0:
+    k = max(0, (d - g + 1) // 2)         # fewest counts that fix L; k+1 is held out
+    counts = [count_exact(make_spec(m, q * s0, n, q * t0),
+                          max_states=max_states, max_work=max_work)
+              for q in range(k + 2)]
+    held_out = counts.pop()
+    low = -(g + k)                       # the nodes are low..k
+    diffs = _forward_differences([(-1) ** d * c for c in reversed(counts)]
+                                 + [0] * (g - 1) + counts)
+    diffs, surplus = diffs[:d + 1], diffs[d + 1:]
+    if any(surplus):
+        raise ArithmeticError(
+            f"the counts for shape {m}x{n} fit no polynomial of degree {d}")
+    if diffs[d] == 0:
         raise ArithmeticError(
             f"interpolated polynomial for shape {m}x{n} degenerates "
             f"below degree {d}; the counts are inconsistent")
-    check_q = d + 1
-    predicted = evaluate(poly, check_q)
-    if predicted != values[check_q]:
+
+    def value(q: int) -> int:
+        return sum(c * math.comb(q - low, j) for j, c in enumerate(diffs))
+
+    if value(k + 1) != held_out:
         raise ArithmeticError(
             f"validation failed for shape {m}x{n}: polynomial predicts "
-            f"{predicted} at q={check_q} but the exact count is {values[check_q]}")
+            f"{value(k + 1)} at q={k + 1} but the exact count is {held_out}")
+    poly = EhrhartPolynomial(m, n, s0, t0, d, _monomial(diffs, low),
+                             _h_vector([value(q) for q in range(d + 1)]))
     if sum(poly.h_vector) != math.factorial(d) * poly.coefficients[d]:
         raise ArithmeticError(
             f"h-vector of shape {m}x{n} does not match the leading coefficient")
@@ -103,41 +111,33 @@ def leading_coefficient(poly: EhrhartPolynomial) -> Fraction:
     return poly.coefficients[poly.degree]
 
 
-def _newton_interpolate(values: list[int]) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the unique degree <= d fit through (q, values[q])."""
-    d = len(values) - 1
-    diffs = [list(values)]
-    for k in range(1, d + 1):
-        prev = diffs[-1]
-        diffs.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    # L(q) = sum_k diffs[k][0] * C(q, k); expand each falling factorial
-    coeffs = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)]          # coefficients of prod_{i<k} (q - i) / k!
-    for k in range(d + 1):
-        lead = diffs[k][0]
-        if lead:
-            scale = Fraction(1, math.factorial(k))
-            for power, b in enumerate(basis):
-                coeffs[power] += lead * scale * b
-        # basis *= (q - k)
-        nxt = [Fraction(0)] * (len(basis) + 1)
+def _forward_differences(values: list[int]) -> list[int]:
+    """[values[0], delta values[0], delta^2 values[0], ...] of equally spaced nodes."""
+    tops = []
+    while values:
+        tops.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tops
+
+
+def _monomial(diffs: list[int], low: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of sum_j diffs[j] * binomial(q - low, j)."""
+    d = len(diffs) - 1
+    numerators = [0] * (d + 1)       # over the common denominator d!
+    basis = [1]                      # prod_{i<j} (q - low - i), constant first
+    for j, diff in enumerate(diffs):
+        scale = diff * (math.factorial(d) // math.factorial(j))
         for power, b in enumerate(basis):
-            nxt[power + 1] += b
-            nxt[power] += -k * b
-        basis = nxt
-    return tuple(coeffs)
+            numerators[power] += scale * b
+        basis = [a - (low + j) * b for a, b in zip([0] + basis, basis + [0])]
+    return tuple(Fraction(a, math.factorial(d)) for a in numerators)
 
 
-def _h_vector(values: list[int], d: int) -> tuple[int, ...]:
-    """Solve L(q) = sum_i h[d-i] * C(q+i, d) for h by forward substitution."""
-    h = [0] * (d + 1)
-    for q in range(d + 1):
-        acc = values[q]
-        for r in range(q):
-            acc -= h[r] * comb(q + d - r, d)
-        h[q] = acc   # the coefficient of h[q] is C(d, d) = 1
-        if h[q] < 0:
-            raise ArithmeticError(
-                f"h-vector entry {q} is negative ({h[q]}); "
-                "the input counts cannot come from a lattice polytope")
-    return tuple(h)
+def _h_vector(values: list[int]) -> tuple[int, ...]:
+    """h from L(0..d): the low coefficients of (1 - z)^(d+1) * sum_q L(q) z^q."""
+    d = len(values) - 1
+    h = tuple(sum((-1) ** j * math.comb(d + 1, j) * values[i - j] for j in range(i + 1))
+              for i in range(d + 1))
+    if min(h) < 0:
+        raise ArithmeticError(f"h-vector {h} has a negative entry: no lattice polytope")
+    return h

@@ -1,11 +1,13 @@
 """Dilation-counting polynomials for the transportation polytope of an m x n table."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from contab import ehrhart
-from contab.core import InvalidSpecError, make_spec
+from contab.core import InvalidSpecError, ResourceLimitError, make_spec
 from contab.ehrhart import (
     EhrhartPolynomial,
     ehrhart_polynomial,
@@ -113,16 +115,27 @@ def test_h_vector_nonnegative_and_sums_to_normalized_volume():
 
 
 def test_counterfeit_counter_caught_by_validation(monkeypatch):
-    # a counter that is wrong only past the interpolation nodes still trips
-    # the held-out check at q = degree + 1
+    # a counter that is wrong only at the held-out dilate (3x3: q = k+1 = 2)
+    # leaves every fit node intact and still trips the held-out check
     def fake(spec, **kw):
         v = count_exact(spec, **kw)
-        return v + (1 if spec.s >= 5 else 0)
+        return v + (1 if spec.s == 2 else 0)
 
     monkeypatch.setattr(ehrhart, "count_exact", fake)
     with pytest.raises(ArithmeticError) as err:
         ehrhart_polynomial(3, 3)
-    assert "q=5" in str(err.value)
+    assert "q=2" in str(err.value)
+
+
+def test_counter_wrong_at_fit_node_caught(monkeypatch):
+    # q = 1 is a fit node of 3x3, and its mirror -4 is one too
+    def fake(spec, **kw):
+        v = count_exact(spec, **kw)
+        return v + (1 if spec.s == 1 else 0)
+
+    monkeypatch.setattr(ehrhart, "count_exact", fake)
+    with pytest.raises(ArithmeticError):
+        ehrhart_polynomial(3, 3)
 
 
 def test_counter_wrong_at_node_caught(monkeypatch):
@@ -133,6 +146,80 @@ def test_counter_wrong_at_node_caught(monkeypatch):
     monkeypatch.setattr(ehrhart, "count_exact", fake)
     with pytest.raises(ArithmeticError):
         ehrhart_polynomial(3, 3)
+
+
+def test_cap_hit_raises_and_yields_no_polynomial(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        ehrhart_polynomial(4, 5, max_work=20)
+
+    # the held-out count comes from count_exact, so its cap hit propagates
+    def fake(spec, **kw):
+        if spec.s == 2:
+            raise ResourceLimitError("capped", kind="work", limit=1, used=2)
+        return count_exact(spec, **kw)
+
+    monkeypatch.setattr(ehrhart, "count_exact", fake)
+    with pytest.raises(ResourceLimitError):
+        ehrhart_polynomial(3, 3)
+
+
+def _plain_fit(m, n):
+    """Lagrange fit through the d+1 counts at q = 0..d, and its h-vector."""
+    g = math.gcd(m, n)
+    d = (m - 1) * (n - 1)
+    ys = [count_exact(make_spec(m, q * n // g, n, q * m // g)) for q in range(d + 1)]
+    coeffs = [Fraction(0)] * (d + 1)
+    for i, y in enumerate(ys):
+        basis, denom = [Fraction(1)], 1          # prod_{j != i} (q - j)
+        for j in range(d + 1):
+            if j != i:
+                basis = [a - j * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= i - j
+        for power, b in enumerate(basis):
+            coeffs[power] += Fraction(y, denom) * b
+    h = []                                       # forward substitution
+    for q in range(d + 1):
+        h.append(ys[q] - sum(h[r] * math.comb(q + d - r, d) for r in range(q)))
+    return tuple(coeffs), tuple(h)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (2, 5), (3, 3),
+                                   (3, 4), (4, 4), (3, 6)])
+def test_reciprocity_fit_equals_plain_fit(shape):
+    poly = ehrhart_polynomial(*shape)
+    assert (poly.coefficients, poly.h_vector) == _plain_fit(*shape)
+
+
+def test_birkhoff_h_vectors_pinned():
+    # Beck & Pixton, "The Ehrhart polynomial of the Birkhoff polytope" (2003)
+    assert ehrhart_polynomial(4, 4).h_vector == (1, 14, 87, 148, 87, 14, 1, 0, 0, 0)
+    assert ehrhart_polynomial(5, 5).h_vector == (
+        1, 103, 4306, 63110, 388615, 1115068, 1575669, 1115068, 388615,
+        63110, 4306, 103, 1, 0, 0, 0, 0)
+
+
+def test_birkhoff_6x6_degree_and_h1():
+    # h[1] = L(1) - d - 1, and L(1) counts the 6! permutation matrices
+    poly = ehrhart_polynomial(6, 6)
+    assert poly.degree == 25
+    assert poly.h_vector[1] == math.factorial(6) - 25 - 1 == 694
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_reciprocity_against_bruteforce_interior(shape):
+    # tables of the q-th dilate with every entry >= 1 number (-1)^d * L(-q)
+    m, n = shape
+    poly = ehrhart_polynomial(m, n)
+    for q in range(1, 5):
+        s, t = q * poly.s0, q * poly.t0
+        interior = 0
+        for block in itertools.product(range(1, s + 1), repeat=(m - 1) * (n - 1)):
+            rows = [list(block[i * (n - 1):(i + 1) * (n - 1)]) for i in range(m - 1)]
+            rows = [r + [s - sum(r)] for r in rows]
+            rows.append([t - sum(col) for col in zip(*rows)])
+            interior += all(x >= 1 for r in rows for x in r) and sum(rows[-1]) == s
+        mirror = sum(c * (-q) ** p for p, c in enumerate(poly.coefficients))
+        assert interior == (-1) ** poly.degree * mirror, (shape, q)
 
 
 def test_evaluate_validation():
