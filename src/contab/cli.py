@@ -258,9 +258,10 @@ def _check_hypothesis(args, spec) -> dict:
               "min_coefficient": None if spec.n == 1
               else estimators.hypothesis_min_coefficient(spec)}
     if args.a is not None:
-        if not math.isfinite(args.a):
-            raise InvalidSpecError(f"--a must be finite, got {args.a}")
         threshold = args.a * math.log(spec.n)
+        # JSON has no infinity: a non-finite a, or a * ln(n) past the doubles
+        if not math.isfinite(threshold):
+            raise InvalidSpecError(f"--a must give a finite a·ln(n), got {args.a}·ln({spec.n})")
         fields.update(a=args.a, threshold=threshold,
                       satisfied=bool(float(lhs) >= threshold))
     return fields

@@ -165,8 +165,9 @@ def _mantissa_exponent(log_value: float) -> tuple[float, int]:
 
 def _sci_parts(log_value: float, digits: int) -> tuple[str, int]:
     """(mantissa rounded to `digits` significant digits, decimal exponent)."""
-    if digits < 1:
-        raise InvalidSpecError(f"digits must be >= 1, got {digits}")
+    # a double carries at most 17 significant digits
+    if not 1 <= digits <= 17:
+        raise InvalidSpecError(f"digits must be in 1..17, got {digits}")
     mant, e = _mantissa_exponent(log_value)
     body = f"{mant:.{digits - 1}f}"
     if float(body) >= 10.0:  # rounding pushed past the decade

@@ -20,12 +20,14 @@ string.  A key is decoded into (deficit, multiplicity) lists once per
 expanded state, one step per class by jumping to the highest set bit.
 
 Spending one column distributes t units over the rows, a row at deficit v
-taking lo <= x <= hi, with lo = max(0, v - (columns remaining - 1) * t) so
-that it stays completable and hi = min(v, t).  Allocations are enumerated
+taking 0 <= x <= hi = min(v, t).  No row needs a lower bound to stay
+completable: the pass stops with h = max(2, n // 2) columns left (below),
+and for 3 <= m <= n every deficit is at most s = n * t / m <= h * t, which
+the columns after the next can always absorb.  Allocations are enumerated
 class by class.  A class of mu rows sharing deficit v takes a multiset of
 mu amounts with some total A, weighted by its labelings mu! / prod k_x!
 (k_x rows take x).  Its part of the child code and its labelings depend
-only on (mu, lo, hi, hi == v, A), so each such option list is built once
+only on (mu, hi, hi == v, A), so each such option list is built once
 per pass, by a stack walk over the rows that pushes only choices that can
 still be completed, and then looked up.  A list holds codes relative to
 digit v - hi, shifted up by b * (v - hi) where used; a row taking hi = v
@@ -36,14 +38,14 @@ landing at deficit d add k << (b * d): no sort, no merge.  A state of one
 class streams its only list unstored, since no benchmark shape met such a
 list twice in a pass.
 
-When s is much larger than t, most states are interior: every deficit v
-has t < v <= (c - 1) * t with c columns left, so every row may take any
-amount 0..t and none finishes.  The moves of an interior state then depend
-on its shape alone (the code shifted down by its smallest deficit, the
-base): each child is a fixed code shifted up by base - t digits.  They are
-recorded as the pass first draws them, once per shape and pass, kept in one
-dict, and replayed, one shift each, whenever the shape recurs (11847 of the
-13168 interior states of (3,98,49,6)).  A replayed move counts one unit of work and meets the
+When s is much larger than t, most states are interior: every deficit is
+above t, so every row may take any amount 0..t and none finishes.  The
+moves of an interior state then depend on its shape alone (the code
+shifted down by its smallest deficit, the base): each child is a fixed
+code shifted up by base - t digits.  They are recorded as the pass first
+draws them, once per shape and pass, kept in one dict, and replayed, one
+shift each, whenever the shape recurs (11847 of the 13168 interior states
+of (3,98,49,6)).  A replayed move counts one unit of work and meets the
 state cap in the enumeration's order.  Stored moves and stored options
 share one bound of max_states entries and are never evicted; a shape or an
 option list met past it is enumerated and used but not stored.
@@ -120,6 +122,10 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
         return 1
     if m == 2:
         return _two_column_count([t], [n], s)
+    # stop with h columns left; mirror becomes the layer with n - h left
+    h = max(2, n // 2)
+    # no row needs a lower bound (module notes); m = 2 breaks this: (2,5,5,2)
+    assert s <= h * t, "a deficit may need a lower bound"
     b = m.bit_length()
     width = (b * (s + 1) + 7) // 8
     if width > STATE_BYTES:
@@ -128,24 +134,21 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             f"exceeds the {STATE_BYTES} budgeted per state",
             kind="states", limit=0, used=1)
 
-    # stop with h columns left; mirror becomes the layer with n - h left
-    h = max(2, n // 2)
     layer = {(m << b * s).to_bytes(width, "little"): 1}
     mirror = layer
     work = 0
     memo = _Moves(t, b, width, max_states)
     for cols in range(n, h, -1):
-        cap_next = (cols - 1) * t
         nxt: dict[bytes, int] = {}
         for key, ways in layer.items():
             code = int.from_bytes(key, "little")
             vs, mus = _decode(code, b)
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            if t < vs[0] and vs[-1] <= cap_next:
-                moves = memo.interior(code, vs, mus, cols)
+            if t < vs[0]:
+                moves = memo.interior(code, vs, mus)
             else:
-                moves = memo.allocations(vs, mus, cap_next)
+                moves = memo.allocations(vs, mus)
             for child, labelings in moves:
                 work += 1
                 if work > max_work:
@@ -192,7 +195,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
 class _Moves:
     """The moves of one count_exact pass, memoized under one budget.
 
-    options maps a class key (mu, lo, hi, hi == v) to a dict from the class
+    options maps a class key (mu, hi, hi == v) to a dict from the class
     total A to its option list: (code, labelings) pairs, the code relative
     to digit v - hi (see the module notes).  shapes maps an interior shape
     to two parallel tuples: its child codes shifted down by base - t, and
@@ -206,8 +209,8 @@ class _Moves:
         self.options: dict[tuple, dict] = {}
         self.held = 0
 
-    def interior(self, code: int, vs: list[int], mus: list[int], cols: int):
-        """(child code, labelings) pairs of an interior state with cols left."""
+    def interior(self, code: int, vs: list[int], mus: list[int]):
+        """(child code, labelings) pairs of an interior state."""
         base = vs[0]
         shape = (code >> self.b * base).to_bytes(self.width, "little")
         # every child deficit is at least base - t
@@ -216,7 +219,7 @@ class _Moves:
         if entry is not None:
             codes, labels = entry
             return zip(map(shift.__rlshift__, codes), labels)
-        return self._record(shape, shift, self.allocations(vs, mus, (cols - 1) * self.t))
+        return self._record(shape, shift, self.allocations(vs, mus))
 
     def _record(self, shape: bytes, shift: int, moves):
         """Yield the moves of an unseen shape; store them if they fit the budget.
@@ -236,31 +239,25 @@ class _Moves:
             self.held += len(codes)
             self.shapes[shape] = (tuple(codes), tuple(labels))
 
-    def allocations(self, vs: list[int], mus: list[int], cap_next: int):
+    def allocations(self, vs: list[int], mus: list[int]):
         """(child code, labelings) for every way to spend one column.
 
         mus[i] rows have deficit vs[i], the deficits increasing; each row
-        takes an amount in [max(0, v - cap_next), min(v, t)] and the amounts
-        sum to t.
+        takes an amount in [0, min(v, t)] and the amounts sum to t.
         """
         b, t = self.b, self.t
         last = len(vs) - 1
-        # the largest deficit is the last; most states have no positive bound
-        if vs[-1] > cap_next:
-            lo = [v - cap_next if v > cap_next else 0 for v in vs]
-        else:
-            lo = [0] * (last + 1)
         hi = [v if v < t else t for v in vs]
         if last == 0:
             # one class: its options are the moves, used once, so not stored
-            v, low, high = vs[0], lo[0], hi[0]
-            options = _class_options(mus[0], low, high, high == v, t, b)
+            v, high = vs[0], hi[0]
+            options = _class_options(mus[0], high, high == v, t, b)
             shift = b * (v - high)
             return options if shift == 0 else (
                 (code << shift, labelings) for code, labelings in options)
-        return self._walk(vs, mus, lo, hi, last)
+        return self._walk(vs, mus, hi, last)
 
-    def _walk(self, vs: list[int], mus: list[int], lo: list[int], hi: list[int], last: int):
+    def _walk(self, vs: list[int], mus: list[int], hi: list[int], last: int):
         """Yield the moves of a state of several classes, class by class.
 
         A stack entry (ci, rem, code, ways, a) has placed the classes before
@@ -270,59 +267,56 @@ class _Moves:
         takes rem in one lookup.
         """
         b = self.b
-        # fewest and most units the classes from ci on can absorb
-        min_after = [0] * (last + 2)
+        # most units the classes from ci on can absorb
         max_after = [0] * (last + 2)
         tables = [None] * (last + 1)
         for ci in range(last, -1, -1):
-            mu = mus[ci]
-            min_after[ci] = min_after[ci + 1] + mu * lo[ci]
-            max_after[ci] = max_after[ci + 1] + mu * hi[ci]
-            tables[ci] = self.options.setdefault((mu, lo[ci], hi[ci], hi[ci] == vs[ci]), {})
-        v2, mu2, lo2, hi2, table2 = vs[last], mus[last], lo[last], hi[last], tables[last]
+            max_after[ci] = max_after[ci + 1] + mus[ci] * hi[ci]
+            tables[ci] = self.options.setdefault((mus[ci], hi[ci], hi[ci] == vs[ci]), {})
+        v2, mu2, hi2, table2 = vs[last], mus[last], hi[last], tables[last]
         shift2 = b * (v2 - hi2)
         stack = [(0, self.t, 0, 1, -1)]
         while stack:
             ci, rem, code, ways, a = stack.pop()
-            v, mu, low, high, table = vs[ci], mus[ci], lo[ci], hi[ci], tables[ci]
+            v, mu, high, table = vs[ci], mus[ci], hi[ci], tables[ci]
             shift = b * (v - high)
             if a >= 0:
-                for option, labelings in table.get(a) or self._build(table, mu, low, high, v, a):
+                for option, labelings in table.get(a) or self._build(table, mu, high, v, a):
                     stack.append((ci + 1, rem, code + (option << shift), ways * labelings, -1))
                 continue
             # plain comparisons, not min()/max(): this runs once per partial
-            a_lo = rem - max_after[ci + 1]
-            if a_lo < mu * low:
-                a_lo = mu * low
-            a_hi = rem - min_after[ci + 1]
-            if a_hi > mu * high:
-                a_hi = mu * high
+            a_min = rem - max_after[ci + 1]
+            if a_min < 0:
+                a_min = 0
+            a_max = mu * high
+            if a_max > rem:
+                a_max = rem
             if ci + 1 < last:
                 # one list at a time on the stack: a class's lists over all
                 # its totals can be far longer than one
-                for a in range(a_hi, a_lo - 1, -1):
+                for a in range(a_max, a_min - 1, -1):
                     stack.append((ci, rem - a, code, ways, a))
                 continue
-            for a in range(a_hi, a_lo - 1, -1):
+            for a in range(a_max, a_min - 1, -1):
                 r = rem - a
-                options = table.get(a) or self._build(table, mu, low, high, v, a)
-                options2 = table2.get(r) or self._build(table2, mu2, lo2, hi2, v2, r)
+                options = table.get(a) or self._build(table, mu, high, v, a)
+                options2 = table2.get(r) or self._build(table2, mu2, hi2, v2, r)
                 for option, labelings in options:
                     head, w = code + (option << shift), ways * labelings
                     for option2, labelings2 in options2:
                         yield head + (option2 << shift2), w * labelings2
 
-    def _build(self, table: dict, mu: int, lo: int, hi: int, v: int, total: int) -> list:
+    def _build(self, table: dict, mu: int, hi: int, v: int, total: int) -> list:
         """The option list of a class at one total, stored if the budget has room."""
-        options = list(_class_options(mu, lo, hi, hi == v, total, self.b))
+        options = list(_class_options(mu, hi, hi == v, total, self.b))
         if len(options) <= self.max_states - self.held:
             table[total] = options
             self.held += len(options)
         return options
 
 
-def _class_options(mu: int, lo: int, hi: int, fin: bool, total: int, b: int):
-    """Yield (code, labelings) for each multiset of mu amounts in [lo, hi] summing to total.
+def _class_options(mu: int, hi: int, fin: bool, total: int, b: int):
+    """Yield (code, labelings) for each multiset of mu amounts in [0, hi] summing to total.
 
     A row taking x adds 1 << b * (hi - x) to the code, except that with fin
     (hi is the class's deficit) a row taking hi finishes and adds nothing;
@@ -336,17 +330,16 @@ def _class_options(mu: int, lo: int, hi: int, fin: bool, total: int, b: int):
         a, rows, rem, ways, code = stack.pop()
         if a > rem:
             a = rem
-        # every remaining row takes the lower bound
-        left = rem - rows * lo
-        if left == 0:
-            yield (code + (rows << b * (hi - lo)) if lo < hi or not fin else code), ways
+        # every remaining row takes nothing; hi >= 1, so none finishes
+        if rem == 0:
+            yield code + (rows << b * hi), ways
             continue
         # k >= 1 rows take amount x, the rest take less
-        for x in range(a, lo, -1):
+        for x in range(a, 0, -1):
             kmin = rem - rows * (x - 1)
             if kmin > rows:
                 break
-            kmax = left // (x - lo)
+            kmax = rem // x
             if kmin < 1:
                 kmin = 1
             if kmax > rows:

@@ -110,8 +110,9 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     m, s, n, t = sp.m, sp.s, sp.n, sp.t
     p = points_per_dim
     x = -math.pi + TWO_PI * np.arange(p) / p
-    # one factor as a function of the two grid angles
-    g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x, x)))
+    # one factor as a function of the two grid angles; with one row the
+    # contraction reads only theta = x_0, so a p x p table would be waste
+    g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x[:1] if m == 1 else x, x)))
     w = np.exp(-1j * ((t * x) % TWO_PI))       # column phase
     u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
 

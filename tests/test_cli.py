@@ -195,11 +195,17 @@ def test_margins_beyond_float_range_exit_one(argv):
 
 def test_bad_digits_and_seed_exit_one():
     for argv in [("estimate", "4", "4", "4", "4", "--method", "conj1", "--digits", "0"),
+                 ("estimate", "3", "100", "3", "100", "--method", "good", "--digits", "18"),
+                 ("estimate", "3", "100", "3", "100", "--method", "good",
+                  "--digits", "10000000000"),
                  ("mc", "2", "2", "2", "2", "--samples", "10", "--seed", "-1"),
                  ("compare", "2", "2", "2", "2", "--mc-samples", "10", "--seed", "-1")]:
         code, out, err = run(*argv)
         assert code == 1 and out == "", argv
-        assert err.startswith("contab: error: "), argv
+        assert err.startswith("contab: error: ") and err.count("\n") == 1, argv
+    # a double carries 17 significant digits, the most --digits takes
+    rec = run_json("estimate", "3", "100", "3", "100", "--method", "good", "--digits", "17")
+    assert len(rec["value"].split("e")[0].replace(".", "")) == 17 and rec["exponent"] == 7
 
 
 def test_estimate_methods_all_run():
@@ -379,11 +385,13 @@ def test_check_hypothesis_json_is_strict():
     rec = _strict_json(run("check-hypothesis", "2", "2", "2", "2", "--a", "1",
                            "--format", "json")[1])
     assert math.isclose(rec["min_coefficient"], 3 / math.log(2), rel_tol=1e-12)
-    for a in ("nan", "inf", "-inf"):
-        code, out, err = run("check-hypothesis", "2", "2", "2", "2", f"--a={a}",
+    for shape, a in [("2 2 2 2", "nan"), ("2 2 2 2", "inf"), ("2 2 2 2", "-inf"),
+                     # finite, but 1.7e308 * ln(3) overflows
+                     ("3 100 3 100", "1.7e308")]:
+        code, out, err = run("check-hypothesis", *shape.split(), f"--a={a}",
                              "--format", "json")
         assert (code, out) == (1, ""), a
-        assert err.startswith("contab: error: "), a
+        assert err.startswith("contab: error: ") and err.count("\n") == 1, a
 
 
 def test_delta_inside_open_interval():

@@ -292,8 +292,10 @@ def _deficits(code, b, s):
 def test_allocations_match_a_labeled_enumeration():
     # every state of the first two layers of small shapes, both parities of
     # n; one memo per shape so later states reuse stored option lists, and
-    # one with no budget, which stores none
-    shapes = [(m, s, n, m * s // n) for m in range(2, 6) for s in range(1, 9)
+    # one with no budget, which stores none.  The oracle keeps each row's
+    # lower bound max(0, v - cap_next), which allocations never applies:
+    # for 3 <= m <= n it is zero (two rows never reach this pass)
+    shapes = [(m, s, n, m * s // n) for m in range(3, 6) for s in range(1, 9)
               for n in range(m, 9) if m * s % n == 0 and (m * s // n + 1) ** m <= 4096]
     assert {n % 2 for _, _, n, _ in shapes} == {0, 1}
     stored = 0
@@ -312,11 +314,25 @@ def test_allocations_match_a_labeled_enumeration():
                 vs, mus = [v for v, _ in classes], [mu for _, mu in classes]
                 want = _labeled_moves(deficits, t, cap_next, b)
                 for memo in memos:
-                    got = Counter(memo.allocations(vs, mus, cap_next))
+                    got = Counter(memo.allocations(vs, mus))
                     assert got == want, ((m, s, n, t), deficits, memo.max_states)
         assert memos[1].held == 0
         stored += memos[0].held
     assert stored > 0
+
+
+def test_no_deficit_needs_a_lower_bound():
+    # the pass runs for 3 <= m <= n and stops with h = max(2, n // 2)
+    # columns left, so a deficit (at most s) never exceeds the (c - 1) * t
+    # that the columns after the next can absorb, c > h.  With two rows it
+    # can, and (2,5,5,2) takes the closed form instead
+    shapes = [(m, n, t) for n in range(3, 301) for m in range(3, n + 1)
+              for t in range(1, 61) if n * t % m == 0]
+    assert len(shapes) > 10 ** 5
+    assert [(m, n, t) for m, n, t in shapes if n * t // m > max(2, n // 2) * t] == []
+    m, s, n, t = 2, 5, 5, 2
+    assert s > max(2, n // 2) * t
+    assert count_exact(make_spec(m, s, n, t)) == count_bruteforce(make_spec(m, s, n, t))
 
 
 def _three_rows(s, n, t):

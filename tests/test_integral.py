@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,19 @@ def test_wide_shape_einsum_path_with_raised_dim_cap():
     value = integral_numeric(spec, 16, max_evals=2**40, max_dims=8)
     count = reconstruct_count(spec, value)
     assert abs(count - 24) <= 1e-8 * 24
+
+
+def test_one_row_quadrature_builds_one_factor_row():
+    # a 2000 x 2000 factor table would be 61 MiB; one row reads only its first
+    spec = make_spec(1, 3, 1, 3)
+    tracemalloc.start()
+    try:
+        value = integral_numeric(spec, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert abs(reconstruct_count(spec, value) - 1) <= 1e-9
 
 
 def test_dimension_cap_enforced():
