@@ -14,8 +14,9 @@ float method), 2 resource cap hit or out of memory.  A cap hit still writes
 the record, with error, kind, limit and used in place of the results.
 Exact counts are always emitted as full decimal strings; every stochastic
 record carries its seed.  JSON is the canonical format (sorted keys, Python
-repr floats, byte-stable on round-trip); CSV flattens interval results into
-low/mid/high columns; text is a human-oriented key/value or table layout.
+repr floats, byte-stable on round-trip); CSV writes one header row and one
+value row, joining lists with ";" and leaving None empty; text is a
+human-oriented key/value or table layout.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
             digits, caps)
     p.add_argument("--mc-samples", type=int, default=None,
                    help="add a Monte Carlo column with this many samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="Monte Carlo seed (default 0); needs --mc-samples")
 
     p = add("mc", "importance-sampling estimate", digits)
     p.add_argument("--samples", type=int, required=True)
@@ -101,10 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-integral", "reconstruct the count from the torus integral", caps)
     p.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=int,
-                   help="point budget for quadrature")
+                   help="quadrature budget: grid^min(m, n) terms summed")
     p.add_argument("--grid", type=int, required=True, help="points per dimension")
-    p.add_argument("--max-dims", type=int, default=integral.MAX_DIMENSIONS,
-                   help="dimension cap m+n for the grid")
     p.add_argument("--bounds", action="store_true",
                    help="also run the modulus-envelope and peak-width checks")
 
@@ -200,10 +200,12 @@ def _compare(args, spec) -> dict:
               for key, method in _ESTIMATE_METHODS.items()}
     fields["error_terms"] = "omitted"
     if args.mc_samples is not None:
-        est = montecarlo.mc_estimate(spec, args.mc_samples, args.seed)
+        est = montecarlo.mc_estimate(spec, args.mc_samples, args.seed or 0)
         fields.update(mc=est.mean.scientific(args.digits),
                       mc_relative_se=est.relative_standard_error,
                       seed=est.seed, samples=est.sample_count)
+    elif args.seed is not None:
+        raise InvalidSpecError("--seed is read only with --mc-samples")
     count, reason = _exact_or_reason(args, spec)
     fields.update(exact=None if count is None else str(count), exact_reason=reason)
     return fields
@@ -231,8 +233,7 @@ def _ehrhart(args, spec) -> dict:
 
 
 def _verify_integral(args, spec) -> dict:
-    value = integral.integral_numeric(spec, args.grid, max_evals=args.max_evals,
-                                      max_dims=args.max_dims)
+    value = integral.integral_numeric(spec, args.grid, max_evals=args.max_evals)
     reconstructed = integral.reconstruct_count(spec, value)
     fields = {"grid": args.grid, "integral_real": value.real,
               "integral_imag": value.imag, "reconstructed": reconstructed}

@@ -16,11 +16,11 @@ column angles leaves a function h of the m row angles.  Because ms = nt the
 integrand is unchanged by theta_j -> theta_j + a, phi_k -> phi_k - a, and a
 shift by one grid step maps the grid onto itself, so the sum is p times its
 part with the first row angle fixed at the first grid point.  With p points
-per dimension (and m the smaller side, after a transpose if needed) the
-contraction costs about p^m operations and h holds p^(m-1) values, so
-desk-scale grids are cheap; the advertised budget is still counted as
-p^(m+n) because that is the conceptual evaluation count the caller
-reasons about.
+per dimension (and m the smaller side, after a transpose if needed) h holds
+p^(m-1) values, each a sum of p terms, so the evaluation budget counts those
+p^m terms: the work the contraction does.  The traced peak is at most 32
+bytes per term at m >= 2 and 72 bytes at m = 1, so the default budget of
+2^23 terms peaks below 0.6 GiB.
 
 The modulus of the integrand splits as prod f(theta_j + phi_k) with
 f(z) = (1 + 4A(1 - cos z))^-1/2 and A = lam(1+lam)/2.  envelope_check
@@ -48,8 +48,8 @@ import numpy as np
 from .core import (InvalidSpecError, ResourceLimitError, TableSpec, cell_entropy,
                    gaussian_coeff)
 
-DEFAULT_MAX_EVALS = 10 ** 9
-MAX_DIMENSIONS = 6
+DEFAULT_MAX_EVALS = 2 ** 23
+PEAK_BOUND_CONSTANT = 10.0   # C in the peak-width bound exp(C*(K^-1 + (A K)^-1))
 TWO_PI = 2.0 * math.pi
 
 
@@ -87,28 +87,29 @@ def modulus_factor(z, lam) -> float:
 
 
 def integral_numeric(spec: TableSpec, points_per_dim: int, *,
-                     max_evals: int = DEFAULT_MAX_EVALS,
-                     max_dims: int = MAX_DIMENSIONS) -> complex:
-    """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid."""
+                     max_evals: int = DEFAULT_MAX_EVALS) -> complex:
+    """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid.
+
+    max_evals caps the terms the contraction sums, p^m with p points per
+    dimension and m the smaller side; past it ResourceLimitError reports p^m.
+    """
     lam = float(spec.positive_density())
     if max_evals < 0:
         raise InvalidSpecError(f"max_evals must be nonnegative, got {max_evals}")
-    if spec.m + spec.n > max_dims:
-        raise InvalidSpecError(
-            f"torus quadrature restricted to m+n <= {max_dims}, "
-            f"got {spec.m}+{spec.n} = {spec.m + spec.n}")
     if points_per_dim < 2:
         raise InvalidSpecError(f"need at least 2 points per dim, got {points_per_dim}")
-    conceptual = points_per_dim ** (spec.m + spec.n)
-    if conceptual > max_evals:
-        raise ResourceLimitError(
-            f"quadrature budget exceeded: {points_per_dim}^{spec.m + spec.n} "
-            f"= {conceptual} grid evaluations > {max_evals}",
-            kind="evals", limit=max_evals, used=conceptual)
-
     sp = spec if spec.m <= spec.n else spec.transpose()
     m, s, n, t = sp.m, sp.s, sp.n, sp.t
     p = points_per_dim
+    # the einsums name one subscript per row angle, a..y, and z for the column
+    if m >= 26:
+        raise InvalidSpecError(f"torus quadrature needs min(m, n) <= 25, got {m}")
+    used = p ** m
+    if used > max_evals:
+        raise ResourceLimitError(
+            f"quadrature budget exceeded: {p}^{m} = {used} terms > {max_evals}",
+            kind="evals", limit=max_evals, used=used)
+
     x = -math.pi + TWO_PI * np.arange(p) / p
     # one factor as a function of the two grid angles; with one row the
     # contraction reads only theta = x_0, so a p x p table would be waste
@@ -198,15 +199,13 @@ class PeakIntegralReport:
     ratio: float
     log_ratio: float
     log_bound: float      # C * (K^-1 + (A K)^-1)
-    envelope_constant: float
 
     @property
     def within_bound(self) -> bool:
         return self.log_ratio <= self.log_bound
 
 
-def peak_integral_check(lam, k: float = 1e4,
-                        envelope_constant: float = 10.0) -> PeakIntegralReport:
+def peak_integral_check(lam, k: float = 1e4) -> PeakIntegralReport:
     """Check integral of exp(K g(x)) over |x| <= 30*arc_step against the peak value."""
     a = gaussian_coeff(float(lam))
     if not 0 < k < math.inf:
@@ -221,5 +220,4 @@ def peak_integral_check(lam, k: float = 1e4,
     ratio = value / reference
     return PeakIntegralReport(
         lam=float(lam), k=float(k), ratio=ratio, log_ratio=math.log(ratio),
-        log_bound=envelope_constant * (1.0 / k + 1.0 / (a * k)),
-        envelope_constant=envelope_constant)
+        log_bound=PEAK_BOUND_CONSTANT * (1.0 / k + 1.0 / (a * k)))

@@ -211,7 +211,7 @@ def test_criterion_6_integral_reconstruction():
         for quad in [(2, 2, 2, 2), (2, 1, 2, 1), (2, 3, 3, 2), (1, 2, 2, 1)]:
             spec = make_spec(*quad)
             exact = count_exact(spec)
-            value = integral_numeric(spec, 64, max_evals=2**40)
+            value = integral_numeric(spec, 64)
             count = reconstruct_count(spec, value)
             rel = abs(count - exact) / exact
             worst = max(worst, rel)

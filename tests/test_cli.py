@@ -199,7 +199,10 @@ def test_bad_digits_and_seed_exit_one():
                  ("estimate", "3", "100", "3", "100", "--method", "good",
                   "--digits", "10000000000"),
                  ("mc", "2", "2", "2", "2", "--samples", "10", "--seed", "-1"),
-                 ("compare", "2", "2", "2", "2", "--mc-samples", "10", "--seed", "-1")]:
+                 ("compare", "2", "2", "2", "2", "--mc-samples", "10", "--seed", "-1"),
+                 # compare reads --seed only with --mc-samples
+                 ("compare", "2", "2", "2", "2", "--seed", "-5"),
+                 ("compare", "2", "2", "2", "2", "--seed", "0")]:
         code, out, err = run(*argv)
         assert code == 1 and out == "", argv
         assert err.startswith("contab: error: ") and err.count("\n") == 1, argv
@@ -340,6 +343,10 @@ def test_verify_integral_record():
     assert rec["exact"] == "3"
     assert rec["relative_error"] < 1e-4
     assert abs(rec["integral_imag"]) < 1e-10
+    # 64^3 terms, within the default budget
+    rec = run_json("verify-integral", "3", "3", "3", "3", "--grid", "64")
+    assert rec["exact"] == "55"
+    assert rec["relative_error"] <= 1e-12
 
 
 def test_verify_integral_bounds_section():
@@ -351,12 +358,22 @@ def test_verify_integral_bounds_section():
 
 
 def test_verify_integral_dimension_and_eval_caps():
-    code, _, err = run("verify-integral", "4", "1", "4", "1", "--grid", "8")
-    assert code == 1
-    code, _, err = run("verify-integral", "2", "2", "2", "2", "--grid", "64",
-                       "--max-evals", "100")
+    assert run_json("verify-integral", "4", "1", "4", "1", "--grid", "16")["exact"] == "24"
+    # the contraction cannot name 26 row angles: a domain error at any budget
+    code, out, err = run("verify-integral", "26", "1", "26", "1", "--grid", "2",
+                         "--max-evals", str(2 ** 26))
+    assert (code, out) == (1, "")
+    assert err.startswith("contab: error: ")
+    code, out, err = run("verify-integral", "2", "2", "2", "2", "--grid", "8",
+                         "--max-dims", "8")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --max-dims" in err
+    # the budget counts p^m terms, m the smaller side
+    code, out, err = run("verify-integral", "2", "2", "2", "2", "--grid", "64",
+                         "--max-evals", "100", "--format", "json")
     assert code == 2
-    assert "64^4" in err
+    assert "64^2" in err
+    assert json.loads(out)["used"] == 64 ** 2
 
 
 def test_check_hypothesis_rational_and_threshold():
