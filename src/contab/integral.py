@@ -35,6 +35,9 @@ sqrt(pi/(A K)).
 The underlying claim is one sided (the ratio is bounded by
 exp(C*(K^-1 + (A K)^-1))); the ratio itself is reported because the
 truncated range genuinely pushes it below 1.
+
+numpy is imported inside the functions that compute with arrays, so
+`import contab` and the subcommands that never integrate do not pay for it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (InvalidSpecError, ResourceLimitError, TableSpec, cell_entropy,
                    gaussian_coeff)
@@ -82,6 +83,7 @@ def integrand(spec: TableSpec, theta, phi) -> complex:
 
 def modulus_factor(z, lam) -> float:
     """f(z) = (1 + 4A(1 - cos z))^-1/2, the modulus of one integrand factor."""
+    import numpy as np
     a = gaussian_coeff(float(lam))
     return (1.0 + 4.0 * a * (1.0 - np.cos(z))) ** -0.5
 
@@ -93,6 +95,7 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     max_evals caps the terms the contraction sums, p^m with p points per
     dimension and m the smaller side; past it ResourceLimitError reports p^m.
     """
+    import numpy as np
     lam = float(spec.positive_density())
     if max_evals < 0:
         raise InvalidSpecError(f"max_evals must be nonnegative, got {max_evals}")
@@ -162,6 +165,7 @@ def envelope_check(lam, samples: int = 100_000, seed: int = 0) -> EnvelopeReport
     like z^6 near the origin, far below double roundoff, so an exact float
     comparison would flag pure rounding noise.
     """
+    import numpy as np
     a = gaussian_coeff(float(lam))
     lam_f = float(lam)
     if samples < 1:
@@ -207,6 +211,7 @@ class PeakIntegralReport:
 
 def peak_integral_check(lam, k: float = 1e4) -> PeakIntegralReport:
     """Check integral of exp(K g(x)) over |x| <= 30*arc_step against the peak value."""
+    import numpy as np
     a = gaussian_coeff(float(lam))
     if not 0 < k < math.inf:
         raise InvalidSpecError(f"need finite K > 0, got {k}")

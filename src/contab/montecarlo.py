@@ -46,6 +46,9 @@ fixed byte budget; each chunk draws m*n uniforms per sample from the
 counter-based Philox stream where the previous chunk left it, and all
 per-sample arithmetic is independent of batching, so results do not depend
 on chunk sizes.
+
+numpy is imported inside the functions that compute with arrays, so
+`import contab` and the subcommands that never sample do not pay for it.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
 
 from .core import InvalidSpecError, LogEstimate, TableSpec
 
@@ -182,6 +183,7 @@ def enumerate_proposal(spec: TableSpec):
 
 def _log_sum_exp(values) -> float:
     """log(sum(exp(values))) without overflow, for finite values."""
+    import numpy as np
     top = float(values.max())
     return top + math.log(float(np.exp(values - top).sum()))
 
@@ -199,6 +201,7 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed: int,
 
     Margins of every sampled table are asserted before returning.
     """
+    import numpy as np
     spec.positive_density()
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     if int(seed) < 0:
@@ -222,9 +225,10 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed: int,
     for start in range(0, samples, chunk):
         stop = min(samples, start + chunk)
         chunk_tables = tables[start:stop] if want_tables else None
-        # consecutive blocks continue one stream: row i is always sample i's
-        uniforms = rng.random((stop - start, m * n))
-        logw[start:stop] = _sample_chunk(m, s, n, t, lg, uniforms, chunk_tables)
+        # consecutive blocks continue one stream: row i is always sample i's;
+        # passed straight in, so no chunk's uniforms outlive its call
+        logw[start:stop] = _sample_chunk(
+            m, s, n, t, lg, rng.random((stop - start, m * n)), chunk_tables)
     return (logw, tables) if want_tables else logw
 
 
@@ -234,6 +238,7 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
     Arrays keep the sample axis last, so every step below runs over
     contiguous rows of one value per sample.
     """
+    import numpy as np
     size = uniforms.shape[0]
     width = t + 1
     budgets = np.full((m, size), s, dtype=np.int64)
@@ -294,7 +299,9 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
                     cdf[x] += cdf[x - 1]
             z = cdf[-1]
             assert (z > 0).all(), "proposal support vanished"
-            idx = (cdf < uniforms[:, j * m + i] * z).sum(axis=0)
+            # x is the first entry whose CDF exceeds u * z: with <=, a
+            # uniform of exactly 0 skips the leading entries of weight 0
+            idx = (cdf <= uniforms[:, j * m + i] * z).sum(axis=0)
             x = np.minimum(idx, hi)
             logw += np.log(z) - np.log(p[x, cols])
             budgets[i] -= x

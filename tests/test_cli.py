@@ -511,6 +511,50 @@ def test_import_leaves_scipy_unloaded():
                                                      rel_tol=1e-4)
 
 
+def test_import_leaves_numpy_unloaded():
+    # only the sampler and the quadrature compute with arrays, and they import
+    # numpy when called
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, contab, contab.cli; "
+                           "print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+_PURE_PYTHON_RUNS = [
+    ("count", "3", "4", "4", "3"),
+    ("estimate", "10", "20", "10", "20", "--method", "thm1"),
+    ("decompose", "3", "4", "4", "3"),
+    ("delta", "3", "4", "4", "3"),
+    ("ehrhart", "3", "3", "--eval", "2"),
+    ("check-hypothesis", "3", "4", "4", "3", "--a", "0.5"),
+    ("compare", "3", "4", "4", "3"),
+]
+
+
+def test_pure_python_subcommands_run_without_numpy():
+    # with numpy made unimportable, each subcommand that never samples or
+    # integrates exits 0 with the record it gives in this process
+    script = ("import json, sys; sys.modules['numpy'] = None; "
+              "from contab.cli import main; "
+              "print(json.dumps([main(list(argv) + ['--format', 'json']) "
+              "for argv in json.loads(sys.argv[1])]))")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_PURE_PYTHON_RUNS)],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    *records, codes = proc.stdout.splitlines()
+    assert json.loads(codes) == [0] * len(_PURE_PYTHON_RUNS)
+    for argv, line in zip(_PURE_PYTHON_RUNS, records, strict=True):
+        rec, expected = json.loads(line), run_json(*argv)
+        del rec["runtime_s"], expected["runtime_s"]
+        assert rec == expected, argv
+    count = exact.count_exact(contab.make_spec(3, 4, 4, 3))
+    assert json.loads(records[0])["value"] == str(count)
+
+
 def test_mc_huge_margins_exit_two():
     # the sampler's log-gamma table of s + n values cannot be allocated; a
     # subprocess with a timeout turns a per-value Python loop into a failure

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from contab import montecarlo
@@ -162,12 +163,20 @@ def test_negative_seed_rejected():
         sample_table(spec, -1)
 
 
+def _warm_up(spec):
+    # the first sampler call pays once for numpy's import and its caches;
+    # an untraced call keeps that out of a traced peak, whatever ran before
+    mc_estimate(spec, 2)
+
+
 def test_wide_margins_in_bounded_memory():
     # entry weights are built per chunk for the budgets it holds, so nothing
     # grows with the margins outside the chunk budget
+    spec = make_spec(2, 3000, 2, 3000)
+    _warm_up(spec)
     tracemalloc.start()
     try:
-        est = mc_estimate(make_spec(2, 3000, 2, 3000), 4)
+        est = mc_estimate(spec, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,6 +190,7 @@ def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
     budget = 256 << 10
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
     spec = make_spec(4, 400, 4, 400)
+    _warm_up(spec)
     tracemalloc.start()
     try:
         mc_estimate(spec, 12, seed=1)
@@ -194,16 +204,19 @@ def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
 def test_chunk_stays_within_its_byte_budget():
     # the m-long per-sample arrays (budgets, their gathered ratio slots, the
     # padded lookahead's extra row) count against the budget, and a column's
-    # entry weights are dropped before the next column's are gathered
-    for quad in [(30, 3, 30, 3), (10, 20, 10, 20)]:
+    # entry weights are dropped before the next column's are gathered; 5000
+    # samples of (30,3,30,3) take at least two full chunks, so one chunk's
+    # uniforms must be freed before the next chunk's are drawn
+    for quad, samples in [((30, 3, 30, 3), 5000), ((10, 20, 10, 20), 2000)]:
         spec = make_spec(*quad)
+        _warm_up(spec)
         tracemalloc.start()
         try:
-            mc_estimate(spec, 2000, seed=1)
+            mc_estimate(spec, samples, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < montecarlo._CHUNK_BYTES + 8 * 8 * (spec.s + spec.t), quad
+        assert peak < montecarlo._CHUNK_BYTES + 8 * 8 * (spec.s + spec.t), (quad, samples)
 
 
 def test_log_weight_matches_enumerated_probability():
@@ -218,6 +231,20 @@ def test_log_weight_matches_enumerated_probability():
             expected = -math.log(float(by_table[table]))
             assert math.isclose(logw, expected, rel_tol=1e-12,
                                 abs_tol=1e-12), (quad, seed)
+
+
+def test_zero_uniform_draws_a_feasible_entry():
+    # rng.random() returns exactly 0.0 with probability 2**-53; the draw must
+    # then take the first entry of positive weight, not x = 0 when p[0] = 0
+    for quad in [(3, 2, 2, 3), (3, 4, 3, 4), (4, 3, 3, 4), (2, 6, 4, 3)]:
+        spec = make_spec(*quad)
+        m, s, n, t = quad
+        lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float)
+        tables = np.zeros((1, m, n), dtype=np.int64)
+        logw = montecarlo._sample_chunk(m, s, n, t, lg, np.zeros((1, m * n)), tables)
+        table = tuple(tuple(int(v) for v in row) for row in tables[0])
+        q = dict(enumerate_proposal(spec))[table]
+        assert math.isclose(logw[0], -math.log(q), rel_tol=1e-12, abs_tol=1e-12), quad
 
 
 def test_chunk_size_does_not_change_any_weight(monkeypatch):
