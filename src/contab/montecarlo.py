@@ -35,17 +35,24 @@ are read per column from one table of log-gamma values, lgamma(1..s+n),
 built once per call, only for the budgets r_i present in the chunk, into a
 table of (t+1) x (budgets present) values that counts against the chunk's
 byte budget, so besides the chunk's own arrays only vectors of length s + t
-or s + n grow with the margins.  A factor that is constant
+or s + n grow with the margins.  That table is gathered along its budget
+axis into the column's entry weights, a C-contiguous (t+1) x m x samples
+array, so the lookahead and the draw read each sample's value next to the
+next sample's.  A factor that is constant
 for a sample cancels from every conditional, so only the draw's
 log z - log p(x) leaves linear space.
 The last row of a column and the whole last column are forced and cost no
-draw.
+draw.  In the first column every row of every sample has budget s, so that
+column's entry weights and lookahead are computed once, in one sample's
+lane, and broadcast to the chunk.
 
 Sample i is a pure function of (seed, i).  Samples run in chunks sized by a
 fixed byte budget; each chunk draws m*n uniforms per sample from the
 counter-based Philox stream where the previous chunk left it, and all
 per-sample arithmetic is independent of batching, so results do not depend
-on chunk sizes.
+on chunk sizes.  mc_estimate folds each chunk's weights into a running
+maximum and two running sums before it draws the next, so no array grows
+with the sample count.
 
 numpy is imported inside the functions that compute with arrays, so
 `import contab` and the subcommands that never sample do not pay for it.
@@ -93,9 +100,21 @@ def mc_estimate(spec: TableSpec, samples: int, seed: int = 0) -> McEstimate:
     if not isinstance(samples, int) or samples < 2:
         raise InvalidSpecError(
             f"need at least 2 samples for a standard error, got {samples}")
-    logw = _batch_log_weights(spec, samples, seed)
-    lse1 = _log_sum_exp(logw)
-    lse2 = _log_sum_exp(2.0 * logw)
+    import numpy as np
+    # fold each chunk into a running maximum and the sums of e^(w - top) and
+    # e^(2w - 2top), so memory is bounded by the chunk budget, not by samples
+    top, sum1, sum2 = -math.inf, 0.0, 0.0
+    for logw, _tables in _weight_chunks(spec, samples, seed):
+        new_top = max(top, float(logw.max()))
+        rescale = math.exp(top - new_top)
+        shifted = logw - new_top
+        sum1 = sum1 * rescale + float(np.exp(shifted).sum())
+        sum2 = sum2 * rescale * rescale + float(np.exp(2.0 * shifted).sum())
+        top = new_top
+        # release this chunk before the next one is drawn
+        del logw, shifted
+    lse1 = top + math.log(sum1)
+    lse2 = 2.0 * top + math.log(sum2)
     log_n = math.log(samples)
     log_mean = lse1 - log_n
     # sample variance: (sum w^2 - n mean^2) / (n - 1); Cauchy-Schwarz keeps
@@ -118,7 +137,7 @@ def sample_table(spec: TableSpec, seed: int) -> tuple[tuple[tuple[int, ...], ...
     `seed` is a nonnegative integer; the draw is sample 0 of mc_estimate's
     stream for the same seed.
     """
-    logw, tables = _batch_log_weights(spec, 1, seed, want_tables=True)
+    logw, tables = next(_weight_chunks(spec, 1, seed, want_tables=True))
     matrix = tuple(tuple(int(v) for v in row) for row in tables[0])
     return matrix, float(logw[0])
 
@@ -181,13 +200,6 @@ def enumerate_proposal(spec: TableSpec):
     return results
 
 
-def _log_sum_exp(values) -> float:
-    """log(sum(exp(values))) without overflow, for finite values."""
-    import numpy as np
-    top = float(values.max())
-    return top + math.log(float(np.exp(values - top).sum()))
-
-
 def _spread_count(v: int, parts: int) -> int:
     """Ways to spread v over `parts` ordered nonnegative cells (1 way if none left)."""
     if parts == 0:
@@ -195,11 +207,11 @@ def _spread_count(v: int, parts: int) -> int:
     return math.comb(v + parts - 1, parts - 1)
 
 
-def _batch_log_weights(spec: TableSpec, samples: int, seed: int,
-                       want_tables: bool = False):
-    """Vectorized sampler core: log weights for `samples` draws.
+def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool = False):
+    """Vectorized sampler core: yields (log weights, tables or None) chunk by chunk.
 
-    Margins of every sampled table are asserted before returning.
+    The chunks of one call hold `samples` draws in sample order.  Margins of
+    every sampled table are asserted before its chunk is yielded.
     """
     import numpy as np
     spec.positive_density()
@@ -220,23 +232,48 @@ def _batch_log_weights(spec: TableSpec, samples: int, seed: int,
     # lg[k - 1] = log((k - 1)!) for k = 1..s+n; fromiter allocates all s+n
     # slots before it evaluates one, so a margin past memory fails at once
     lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float, count=s + n)
-    logw = np.empty(samples, dtype=np.float64)
-    tables = np.zeros((samples, m, n), dtype=np.int64) if want_tables else None
     for start in range(0, samples, chunk):
-        stop = min(samples, start + chunk)
-        chunk_tables = tables[start:stop] if want_tables else None
+        size = min(chunk, samples - start)
+        tables = np.zeros((size, m, n), dtype=np.int64) if want_tables else None
         # consecutive blocks continue one stream: row i is always sample i's;
         # passed straight in, so no chunk's uniforms outlive its call
-        logw[start:stop] = _sample_chunk(
-            m, s, n, t, lg, rng.random((stop - start, m * n)), chunk_tables)
-    return (logw, tables) if want_tables else logw
+        yield _sample_chunk(m, s, n, t, lg, rng.random((size, m * n)), tables), tables
+
+
+def _entry_weights(budgets, nl: int, t: int, lg):
+    """Scaled entry weights a[x, i, k] of rows with budgets u = budgets[i, k].
+
+    a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
+    x = 0..min(t, largest budget), so a[0] = 1 and a[x] = 0 for x > u, with
+    nl columns left after this one.  The ratios are computed once per budget
+    present and gathered along the budget axis, so `a` is C-contiguous with
+    the sample axis k innermost.
+    """
+    import numpy as np
+    top = int(budgets.max())
+    # log_spread[t + v] = log C(v + nl - 1, nl - 1) up to a constant; -inf
+    # for v < 0, where the count is 0
+    log_spread = np.full(t + top + 1, -np.inf)
+    log_spread[t:] = lg[nl - 1:top + nl] - lg[:top + 1]
+    # ratio[x, slot[u]] = spread(u - x) / spread(u) for each budget u present;
+    # it and the index array are the only (t+1)-row arrays added to the chunk's
+    present = np.zeros(top + 1, dtype=bool)
+    present[budgets] = True
+    slot = np.cumsum(present) - 1
+    u = np.flatnonzero(present) + t
+    ratio = log_spread.take(u - np.arange(min(t, top) + 1)[:, None])
+    ratio -= log_spread[u]
+    np.exp(ratio, out=ratio)
+    return ratio.take(slot[budgets], axis=1)
 
 
 def _sample_chunk(m, s, n, t, lg, uniforms, tables):
     """Log weights of one chunk of samples, filled column by column.
 
-    Arrays keep the sample axis last, so every step below runs over
-    contiguous rows of one value per sample.
+    Arrays are C-contiguous with the sample axis last, so every step below
+    runs over contiguous rows of one value per sample.  In column 0 every
+    sample has budgets (s, ..., s): its entry weights and lookahead are
+    computed in one lane and broadcast to the others.
     """
     import numpy as np
     size = uniforms.shape[0]
@@ -250,37 +287,23 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
     pad = np.zeros((m, width + 1, size))
     look = pad[:, 1:]
     for j in range(n - 1):
-        # log_spread[t + v] = log C(v + nl - 1, nl - 1) up to a constant, for
-        # nl = n - 1 - j columns left; -inf for v < 0, where the count is 0
-        top = int(budgets.max())
-        nl = n - 1 - j
-        log_spread = np.full(t + top + 1, -np.inf)
-        log_spread[t:] = lg[nl - 1:top + nl] - lg[:top + 1]
-        # ratio[x, k] = spread(u - x) / spread(u) for the k-th budget u present
-        # in the chunk: the weight of entry x for a row with budget u, scaled
-        # so that ratio[0, k] = 1; slot[u] is k.  Built in place and dropped
-        # once gathered, so the index array and the table are the only
-        # (t+1)-row arrays it adds to the chunk's
-        present = np.zeros(top + 1, dtype=bool)
-        present[budgets] = True
-        slot = np.cumsum(present) - 1
-        u = np.flatnonzero(present) + t
-        ratio = log_spread.take(u - xs[:min(t, top) + 1])
-        ratio -= log_spread[u]
-        np.exp(ratio, out=ratio)
-        a = ratio[:, slot[budgets]]   # a[x, i]
-        del ratio
+        # the samples whose weights differ: one lane in column 0, all later
+        lanes = budgets[:, :1] if j == 0 else budgets
+        k = lanes.shape[1]
+        a = _entry_weights(lanes, n - 1 - j, t, lg)   # a[x, i, lane]
         # the last row absorbs v alone; rows above convolve in their weights
-        look[m - 1] = 0.0
-        look[m - 1][:a.shape[0]] = a[:, m - 1]
+        look[m - 1, :, :k] = 0.0
+        look[m - 1, :a.shape[0], :k] = a[:, m - 1]
         # out[v] = sum over x of a[x, i] * below[v - x], summed in x order
         for i in range(m - 2, 0, -1):
-            below, out = look[i + 1], look[i]
-            last = min(t, int(budgets[i].max()))
+            below, out = look[i + 1, :, :k], look[i, :, :k]
+            last = min(t, int(lanes[i].max()))
             for v in range(width):
                 span = min(v, last) + 1
                 np.einsum("xk,xk->k", a[:span, i], below[v::-1][:span], out=out[v])
             out /= out.max(axis=0)
+        # one lane stands for every sample; empty once each sample has its own
+        look[1:, :, k:] = look[1:, :, :1]
         t_rem = np.full(size, t, dtype=np.int64)
         for i in range(m - 1):
             hi = np.minimum(budgets[i], t_rem)

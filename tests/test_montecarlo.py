@@ -14,6 +14,11 @@ from contab.exact import count_exact
 from contab.montecarlo import enumerate_proposal, mc_estimate, sample_table
 
 
+def _log_weights(spec, samples, seed):
+    # every chunk's log weights, in sample order
+    return np.concatenate([w for w, _ in montecarlo._weight_chunks(spec, samples, seed)])
+
+
 def margins_ok(table, spec):
     rows = [sum(r) for r in table]
     cols = [sum(c) for c in zip(*table)]
@@ -219,18 +224,57 @@ def test_chunk_stays_within_its_byte_budget():
         assert peak < montecarlo._CHUNK_BYTES + 8 * 8 * (spec.s + spec.t), (quad, samples)
 
 
+def test_sample_memory_stays_within_the_budget(monkeypatch):
+    # mc_estimate folds each chunk into running sums, so no array grows with
+    # the sample count: 400000 samples are 3.2 MB of log weights alone
+    budget = 1 << 20
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+    spec = make_spec(2, 2, 2, 2)
+    _warm_up(spec)
+    tracemalloc.start()
+    try:
+        est = mc_estimate(spec, 400_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est.mean.value - 3) < 1e-8
+    assert peak < budget + 8 * 8 * (spec.s + spec.t)
+
+
 def test_log_weight_matches_enumerated_probability():
     # the sampled log weight must equal -log q of the drawn table; beyond
     # 2x2 this covers the multi-row lookahead and the forced last row and
-    # last column
+    # last column.  A chunk of 300 samples shares its first column's weights
+    # and lookahead across samples; one sample alone does not
     for quad in [(2, 2, 2, 2), (3, 4, 3, 4), (4, 3, 3, 4), (2, 6, 4, 3)]:
         spec = make_spec(*quad)
         by_table = {t: q for t, q in enumerate_proposal(spec)}
-        for seed in range(12):
-            table, logw = sample_table(spec, seed)
+        drawn = [sample_table(spec, seed) for seed in range(12)]
+        (logw, tables), = montecarlo._weight_chunks(spec, 300, 5, want_tables=True)
+        drawn += [(tuple(map(tuple, table.tolist())), w) for table, w in zip(tables, logw)]
+        assert len(drawn) == 312
+        for table, logw in drawn:
             expected = -math.log(float(by_table[table]))
             assert math.isclose(logw, expected, rel_tol=1e-12,
-                                abs_tol=1e-12), (quad, seed)
+                                abs_tol=1e-12), (quad, table)
+
+
+def test_entry_weights_are_spread_count_ratios():
+    # a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
+    # budget u = budgets[i, k], and 0 past the budget
+    top = 12
+    lg = np.fromiter(map(math.lgamma, range(1, top + 8)), float)
+    budgets = np.array([range(top + 1), range(top, -1, -1)])
+    for t in (4, 15):
+        for nl in range(1, 8):
+            a = montecarlo._entry_weights(budgets, nl, t, lg)
+            assert a.flags.c_contiguous
+            assert a.shape == (min(t, top) + 1,) + budgets.shape
+            for (x, i, k), got in np.ndenumerate(a):
+                u = int(budgets[i, k])
+                want = (math.comb(u - x + nl - 1, nl - 1) / math.comb(u + nl - 1, nl - 1)
+                        if x <= u else 0.0)
+                assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13), (t, nl, u, x)
 
 
 def test_zero_uniform_draws_a_feasible_entry():
@@ -250,17 +294,17 @@ def test_zero_uniform_draws_a_feasible_entry():
 def test_chunk_size_does_not_change_any_weight(monkeypatch):
     spec = make_spec(4, 3, 3, 4)
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 40)
-    whole = montecarlo._batch_log_weights(spec, 25000, 9)
+    whole = _log_weights(spec, 25000, 9)
     # about a hundred samples per chunk, the last one ragged
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 16)
-    split = montecarlo._batch_log_weights(spec, 25000, 9)
+    split = _log_weights(spec, 25000, 9)
     assert whole.tobytes() == split.tobytes()
 
 
 def test_sample_weight_depends_only_on_seed_and_index():
     spec = make_spec(4, 3, 3, 4)
-    head = montecarlo._batch_log_weights(spec, 300, 4)
-    assert (montecarlo._batch_log_weights(spec, 25000, 4)[:300].tobytes()
+    head = _log_weights(spec, 300, 4)
+    assert (_log_weights(spec, 25000, 4)[:300].tobytes()
             == head.tobytes())
 
 
@@ -269,8 +313,8 @@ def test_cumulative_draw_matches_the_row_loop():
     # come from cumsum; in a 2000-sample run the chunk is wider than the
     # draw and the row loop builds them; both add in x order
     spec = make_spec(3, 100, 3, 100)
-    few = montecarlo._batch_log_weights(spec, 10, 5)
-    many = montecarlo._batch_log_weights(spec, 2000, 5)
+    few = _log_weights(spec, 10, 5)
+    many = _log_weights(spec, 2000, 5)
     assert few.tobytes() == many[:10].tobytes()
 
 
