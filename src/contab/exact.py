@@ -22,21 +22,21 @@ expanded state, one step per class by jumping to the highest set bit.
 Spending one column distributes t units over the rows, a row at deficit v
 taking 0 <= x <= hi = min(v, t).  No row needs a lower bound to stay
 completable: the pass stops with h = max(2, n // 2) columns left (below),
-and for 3 <= m <= n every deficit is at most s = n * t / m <= h * t, which
-the columns after the next can always absorb.  Allocations are enumerated
-class by class.  A class of mu rows sharing deficit v takes a multiset of
-mu amounts with some total A, weighted by its labelings mu! / prod k_x!
-(k_x rows take x).  Its part of the child code and its labelings depend
-only on (mu, hi, hi == v, A), so each such option list is built once
-per pass, by a stack walk over the rows that pushes only choices that can
-still be completed, and then looked up.  A list holds codes relative to
-digit v - hi, shifted up by b * (v - hi) where used; a row taking hi = v
-finishes and adds nothing.  For each class but the last the walk takes
-every total that the classes after it can complete and every option at
-that total; the last class takes the units left in one lookup.  k rows
-landing at deficit d add k << (b * d): no sort, no merge.  A state of one
-class streams its only list unstored, since no benchmark shape met such a
-list twice in a pass.
+and for 4 <= m <= n, the only shapes it meets, every deficit is at most
+s = n * t / m <= h * t, which the columns after the next can always absorb.
+Allocations are enumerated class by class.  A class of mu rows sharing
+deficit v takes a multiset of mu amounts with some total A, weighted by its
+labelings mu! / prod k_x! (k_x rows take x).  Its part of the child code
+and its labelings depend only on (mu, hi, hi == v, A), so each such option
+list is built once per pass, by a stack walk over the rows that pushes only
+choices that can still be completed, and then looked up.  A list holds
+codes relative to digit v - hi, shifted up by b * (v - hi) where used; a
+row taking hi = v finishes and adds nothing.  For each class but the last
+the walk takes every total that the classes after it can complete and every
+option at that total; the last class takes the units left in one lookup.  k
+rows landing at deficit d add k << (b * d): no sort, no merge.  A state of
+one class streams its only list unstored, since no benchmark shape met such
+a list twice in a pass.
 
 When s is much larger than t, most states are interior: every deficit is
 above t, so every row may take any amount 0..t and none finishes.  The
@@ -44,8 +44,8 @@ moves of an interior state then depend on its shape alone (the code
 shifted down by its smallest deficit, the base): each child is a fixed
 code shifted up by base - t digits.  They are recorded as the pass first
 draws them, once per shape and pass, kept in one dict, and replayed, one
-shift each, whenever the shape recurs (11847 of the 13168 interior states
-of (3,98,49,6)).  A replayed move counts one unit of work and meets the
+shift each, whenever the shape recurs (1216 of the 2378 interior states
+of (4,30,20,6)).  A replayed move counts one unit of work and meets the
 state cap in the enumeration's order.  Stored moves and stored options
 share one bound of max_states entries and are never evicted; a shape or an
 option list met past it is enumerated and used but not stored.
@@ -67,9 +67,32 @@ runs to two columns left instead, which are finished in closed form.  Two
 rows (m <= n after the transpose) are that closed form read the other way,
 n rows of deficit t filling two columns of total s; no key is built.
 
+Three rows take a closed double sum instead of the pass.  Write each column
+as (a, b, t - a - b); the third row then sums to n * t - 2 s = s by itself,
+so M = [x^s y^s] F^n with F = sum over a + b <= t of x^a y^b.  Summing
+(x^(d+1) - y^(d+1)) / (x - y) over d <= t gives F = (g(x) - g(y)) / (x - y),
+g(z) = z + ... + z^(t+1).  Expanding (g(x) - g(y))^n by the binomial theorem
+and (x - y)^-n as the sum over j of C(n-1+j, j) y^j x^(-n-j),
+
+    M = sum_k (-1)^(n-k) C(n, k) sum_j C(n-1+j, j) c_k(s+n+j) c_(n-k)(s-j),
+
+for 0 <= k <= n and 0 <= j <= s, where c_k(N) = [z^N] g^k counts the
+compositions of N into k parts in 1..t+1, coefficient N - k of Q^k with
+Q = 1 + z + ... + z^t.  Two rolling rows hold the powers: from Q^(n//2)
+outwards, Q^k falls by exact division by Q (times 1 - z, then over
+1 - z^(t+1)) and Q^(n-k) rises by windowed prefix sums, so each pair gives
+the terms of k and n - k.  (3,100,3,100) is MacMahon's magic-square count
+H_3(r) = (r+1)(r+2)(r^2+3r+4)/8 at r = 100, an independent check.  Both
+budgets are charged before anything is built: the coefficients held, the
+two rows, the one being built and the s + 1 binomials, each a list slot and
+an int below max(t+1, n+s)^n, against max_states * STATE_BYTES, and the
+coefficients built plus the terms summed against max_work; either over
+raises ResourceLimitError of that kind at once.
+
 Counts are exact Python ints throughout.  Two budgets bound the forward
-pass (the join adds no work): a cap on the states held in the layer being
-built, checked at each insert, and a budget on enumerated allocations.
+pass of four rows or more (the join adds no work): a cap on the states held
+in the layer being built, checked at each insert, and a budget on
+enumerated allocations.
 Exceeding either raises ResourceLimitError, never a wrong answer.  The
 state cap is the memory guard: it budgets STATE_BYTES, about a kilobyte,
 per state, the layer being expanded included, so the default 2**20 keeps a
@@ -86,7 +109,9 @@ independent oracle for small instances.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, islice, repeat
 from math import comb, factorial, prod
+from operator import mul, sub
 
 from .core import InvalidSpecError, ResourceLimitError, TableSpec
 
@@ -122,6 +147,8 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
         return 1
     if m == 2:
         return _two_column_count([t], [n], s)
+    if m == 3:
+        return _three_rows(spec, s, n, t, max_states, max_work)
     # stop with h columns left; mirror becomes the layer with n - h left
     h = max(2, n // 2)
     # no row needs a lower bound (module notes); m = 2 breaks this: (2,5,5,2)
@@ -190,6 +217,89 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
         assert r == 0, "layer count not divisible by its orbit"
         total += fillings * mirror[rest]
     return total
+
+
+def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
+                max_work: int) -> int:
+    """Three rows of sum s over n columns of sum t, by the binomial double sum.
+
+    Term (k, j) is C(n - 1 + j, j) q_k[s + n - k + j] q_(n-k)[s - n + k - j],
+    signed (-1)**(n - k) and weighted C(n, k), where q_k lists the
+    coefficients of Q**k, Q = 1 + z + ... + z**t (module notes).
+    """
+    def window(k: int) -> tuple[int, int]:
+        # the j whose both indices fall inside q_k and q_(n-k)
+        top = s - n + k
+        return max(0, top - (n - k) * t), min(top, k * t - s - n + k)
+
+    h = n // 2
+    # two rolling rows and the row being built, at most 2 (n t + 1)
+    # coefficients, and the binomials; each is a list slot and an int of 28
+    # bytes plus 4 per 30 bits, and every one is below max(t + 1, n + s) ** n
+    bits = n * max(t + 1, n + s).bit_length()
+    held = (2 * (n * t + 1) + s + 1) * (36 + 4 * (bits // 30))
+    states = -(-held // STATE_BYTES)
+    if states > max_states:
+        raise ResourceLimitError(
+            f"state cap exhausted counting {spec}: {held} bytes of coefficients "
+            f"> {max_states} states of {STATE_BYTES} bytes",
+            kind="states", limit=max_states, used=states)
+    work = (s + 1 + sum(i * t + 1 for i in range(1, n + 1))
+            + sum(i * t + 1 for i in range(h))
+            + sum(max(0, last - first + 1) for first, last in map(window, range(n + 1))))
+    if work > max_work:
+        raise ResourceLimitError(
+            f"work budget exhausted counting {spec}: {work} coefficients and "
+            f"terms > {max_work}",
+            kind="work", limit=max_work, used=work)
+
+    binoms = list(accumulate(range(1, s + 1), lambda c, j: c * (n - 1 + j) // j,
+                             initial=1))
+
+    def term(k: int, qk: list[int], rest: list[int]) -> int:
+        first, last = window(k)
+        if first > last:
+            return 0
+        off, top = s + n - k, s - n + k
+        inner = sum(map(mul, binoms[first:last + 1],
+                        map(mul, qk[off + first:off + last + 1],
+                            reversed(rest[top - last:top - first + 1]))))
+        return -comb(n, k) * inner if (n - k) % 2 else comb(n, k) * inner
+
+    # out from the middle: down = Q**k falls by division, up = Q**(n-k) rises
+    down = [1]
+    for _ in range(h):
+        down = _times_q(down, t)
+    up = down if n == 2 * h else _times_q(down, t)
+    total = 0
+    for k in range(h, -1, -1):
+        total += term(k, down, up)
+        if n - k != k:
+            total += term(n - k, up, down)
+        if k:
+            down = _over_q(down, t)
+            up = _times_q(up, t)
+    return total
+
+
+def _times_q(a: list[int], t: int) -> list[int]:
+    """Coefficients of a(z) (1 + z + ... + z**t): prefix sums over a window of t + 1."""
+    out = list(accumulate(chain(a, repeat(0, t))))
+    for i in range(len(out) - 1, t, -1):
+        out[i] -= out[i - t - 1]
+    return out
+
+
+def _over_q(a: list[int], t: int) -> list[int]:
+    """Coefficients of a(z) / (1 + z + ... + z**t), which divides it.
+
+    Q = (1 - z**(t+1)) / (1 - z): times 1 - z, then over 1 - z**(t+1).
+    """
+    out = [a[0]]
+    out += map(sub, islice(a, 1, len(a) - t), a)
+    for i in range(t + 1, len(out)):
+        out[i] += out[i - t - 1]
+    return out
 
 
 class _Moves:
@@ -446,11 +556,6 @@ def _two_column_count(vs: list[int], mus: list[int], t: int) -> int:
         # a violation takes a row hi - lo + 1 units past its lower bound
         step = v + 1 if v <= t else 2 * t - v + 1
         if step > shifted:
-            continue
-        if mu == 1:
-            # nearly every call ((3,1000,3,1000): 83333 of 83834) has only
-            # one-row classes, and a comprehension is the cheapest step
-            terms += [(rem - step, -weight) for rem, weight in terms if rem >= step]
             continue
         more = []
         for rem, weight in terms:

@@ -23,7 +23,7 @@ from contab.exact import count_exact
 
 CAPS = [{}, {"max_work": 1000}, {"max_states": 40},
         {"max_work": 5000, "max_states": 300}, {"max_states": 5}]
-DIGEST = "1deeda5e65a01e692a4be4585159332bd807284b2b6f8dbfb4c2ebd4ce67181b"
+DIGEST = "a4e2776a69510335b33e0c2bc26b6a631ec36f3b865920671f217424adcec85d"
 
 
 def grid() -> list:

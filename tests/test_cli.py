@@ -97,8 +97,8 @@ def test_negative_cap_is_a_domain_error(argv):
 
 
 def test_wide_margins_write_a_state_cap_record():
-    # keys of three rows at s = 5000 outgrow the per-state budget
-    code, out, err = run("count", "3", "5000", "3", "5000", "--format", "json")
+    # keys of four rows at s = 3000 outgrow the per-state budget
+    code, out, err = run("count", "4", "3000", "4", "3000", "--format", "json")
     assert code == 2 and err.startswith("contab: resource limit: ")
     rec = json.loads(out)
     assert (rec["error"], rec["kind"], rec["limit"], rec["used"]) == \
@@ -115,7 +115,7 @@ def test_max_work_caps_the_exact_count():
 
 def test_max_evals_no_longer_caps_the_exact_count():
     # count runs no quadrature, so it takes no quadrature budget; its own
-    # work cap still stops (3,100,3,100), which takes 885 allocation steps
+    # work cap still stops (3,100,3,100), whose closed form charges 806 units
     code, out, err = run("count", "3", "100", "3", "100", "--max-evals", "100")
     assert (code, out) == (1, "")
     assert "unrecognized arguments: --max-evals" in err

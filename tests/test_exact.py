@@ -115,7 +115,7 @@ def test_join_on_closed_forms_both_parities():
     # from n = 6 on, the pass stops halfway and joins each state with its
     # complement; joined states hold finished rows (deficit 0) and untouched
     # rows (deficit s), for even n (one layer) and odd n (two layers); two
-    # rows are a closed form and never reach the join, three rows do
+    # and three rows are closed forms and never reach the join, four rows do
     for n in range(2, 13):
         assert count_exact(make_spec(n, 1, n, 1)) == math.factorial(n), n
         assert count_exact(make_spec(n, 2, n, 2)) == _two_per_line(n), n
@@ -123,14 +123,14 @@ def test_join_on_closed_forms_both_parities():
             if n * t % 2 == 0:
                 s = n * t // 2
                 assert count_exact(make_spec(2, s, n, t)) == _two_rows(s, n, t), (n, t)
-            if n in (6, 7, 8) and n * t % 3 == 0:
-                s = n * t // 3
-                assert count_exact(make_spec(3, s, n, t)) == _three_rows(s, n, t), (n, t)
+            if n in (6, 7, 8) and n * t % 4 == 0:
+                s = n * t // 4
+                assert count_exact(make_spec(4, s, n, t)) == _four_rows(s, n, t), (n, t)
 
 
 def test_wide_margins_stay_bounded():
     # two rows take the closed form, so no state key is built however wide
-    # the margins; three rows at s = 5000 need 1251-byte keys, over the
+    # the margins; four rows at s = 3000 need 1126-byte keys, over the
     # kilobyte budgeted per state, so the pass stops before building one
     tracemalloc.start()
     try:
@@ -144,12 +144,12 @@ def test_wide_margins_stay_bounded():
     started = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError) as err:
-            count_exact(make_spec(3, 5000, 3, 5000))
+            count_exact(make_spec(4, 3000, 4, 3000))
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.kind == "states"
+    assert (err.value.kind, err.value.limit, err.value.used) == ("states", 0, 1)
     assert elapsed < 2
     assert peak < 8 << 20
 
@@ -166,10 +166,10 @@ def test_join_agrees_with_brute_force():
 
 
 def test_halfway_join_halves_the_work():
-    # the full pass over (3,98,49,6) enumerates 712533 allocations; stopping
-    # at 24 columns left needs 372844
-    count = count_exact(make_spec(3, 98, 49, 6), max_work=400_000)
-    assert leading_digits(count, 6) == (101100, 68)
+    # the full pass over (4,30,20,6) enumerates 456038 allocations; stopping
+    # at 10 columns left needs 228205
+    count = count_exact(make_spec(4, 30, 20, 6), max_work=250_000)
+    assert leading_digits(count, 6) == (814039, 34)
 
 
 def test_state_cap_raises_with_diagnostics():
@@ -192,12 +192,12 @@ def test_work_cap_raises_with_diagnostics():
 
 
 def test_work_cap_inside_cached_moves():
-    # step 200000 of (3,98,49,6) replays the stored moves of an interior
+    # step 100000 of (4,30,20,6) replays the stored moves of an interior
     # shape met earlier in the pass; the budget is still checked per step
     with pytest.raises(ResourceLimitError) as err:
-        count_exact(make_spec(3, 98, 49, 6), max_work=199_999)
+        count_exact(make_spec(4, 30, 20, 6), max_work=99_999)
     assert err.value.kind == "work"
-    assert (err.value.limit, err.value.used) == (199_999, 200_000)
+    assert (err.value.limit, err.value.used) == (99_999, 100_000)
 
 
 def _record_memos(monkeypatch):
@@ -214,13 +214,13 @@ def _record_memos(monkeypatch):
 
 
 def test_move_cache_cap_keeps_the_count(monkeypatch):
-    # no layer of (3,98,49,6) holds more than 1249 states, but its stored
+    # no layer of (4,30,20,6) holds more than 956 states, but its stored
     # interior moves outgrow 2000; nothing is evicted, so the state cap is
     # the memo's only bound and later shapes are expanded unstored
     memos = _record_memos(monkeypatch)
-    spec = make_spec(3, 98, 49, 6)
+    spec = make_spec(4, 30, 20, 6)
     count = count_exact(spec)
-    assert leading_digits(count, 6) == (101100, 68)
+    assert leading_digits(count, 6) == (814039, 34)
     assert memos[-1].held > 2000
     assert count_exact(spec, max_states=2000) == count
     assert 0 < len(memos[-1].shapes) and memos[-1].held <= 2000
@@ -239,12 +239,12 @@ def test_option_budget_keeps_the_count(monkeypatch):
 
 
 def test_work_cap_is_prompt_on_wide_margins():
-    # the one state of the first layer has 1.3 million moves, 1 KB each;
-    # they are streamed, not stored, so the cap stops the pass at once
+    # the one state of the first layer has 109 million moves, 938 bytes
+    # each; they are streamed, not stored, so the cap stops the pass at once
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as err:
-            count_exact(make_spec(3, 4000, 3, 4000), max_work=10_000)
+            count_exact(make_spec(4, 2500, 4, 2500), max_work=10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,10 +322,10 @@ def test_allocations_match_a_labeled_enumeration():
 
 
 def test_no_deficit_needs_a_lower_bound():
-    # the pass runs for 3 <= m <= n and stops with h = max(2, n // 2)
-    # columns left, so a deficit (at most s) never exceeds the (c - 1) * t
-    # that the columns after the next can absorb, c > h.  With two rows it
-    # can, and (2,5,5,2) takes the closed form instead
+    # the pass runs for 4 <= m <= n (checked here from m = 3) and stops with
+    # h = max(2, n // 2) columns left, so a deficit (at most s) never exceeds
+    # the (c - 1) * t that the columns after the next can absorb, c > h.
+    # With two rows it can, and (2,5,5,2) takes the closed form instead
     shapes = [(m, n, t) for n in range(3, 301) for m in range(3, n + 1)
               for t in range(1, 61) if n * t % m == 0]
     assert len(shapes) > 10 ** 5
@@ -349,19 +349,91 @@ def _three_rows(s, n, t):
     return ways.get((s, s), 0)
 
 
+def _four_rows(s, n, t):
+    # the same with rows 1 to 3 taking (x, y, z), x + y + z <= t, and row 4
+    # the rest
+    ways = {(0, 0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (a, b, c), w in ways.items():
+            for x in range(min(t, s - a) + 1):
+                for y in range(min(t - x, s - b) + 1):
+                    for z in range(min(t - x - y, s - c) + 1):
+                        key = a + x, b + y, c + z
+                        nxt[key] = nxt.get(key, 0) + w
+        ways = nxt
+    return ways.get((s, s, s), 0)
+
+
 def test_three_rows_with_row_sums_far_above_column_sums():
     # with s >> t most states have every deficit above t, so their moves
-    # come from the interior-shape memo; the oracle fills two rows column by
-    # column, and is itself checked against the brute force first
+    # come from the interior-shape memo; three rows take the closed form,
+    # so four rows are checked here.  The oracles fill all rows but the last
+    # column by column, and are themselves checked against the brute force
     for s in range(0, 7):
         for n in (3, 4):
             if 3 * s % n == 0:
                 spec = make_spec(3, s, n, 3 * s // n)
                 assert _three_rows(s, n, spec.t) == count_bruteforce(spec), spec
+        if 4 * s % 3 == 0:
+            spec = make_spec(4, s, 3, 4 * s // 3)
+            assert _four_rows(s, 3, spec.t) == count_bruteforce(spec), spec
+    for n, top in ((8, 4), (12, 3), (16, 2), (20, 2)):
+        for t in range(1, top + 1):
+            if n * t % 4 == 0:
+                s = n * t // 4
+                assert count_exact(make_spec(4, s, n, t)) == _four_rows(s, n, t), (s, n, t)
+
+
+def _magic(r):
+    # MacMahon: 3 x 3 tables with every line summing to r
+    return (r + 1) * (r + 2) * (r * r + 3 * r + 4) // 8
+
+
+def test_three_row_closed_form_against_oracles():
+    # three rows take the binomial double sum, not the pass: check it in
+    # both orientations against the column-by-column oracle, the brute
+    # force, MacMahon's polynomial and the paper's three-row rows
     for n in (9, 12, 15, 18, 21):
         for t in range(1, 7):
             s = n * t // 3
-            assert count_exact(make_spec(3, s, n, t)) == _three_rows(s, n, t), (s, n, t)
+            want = _three_rows(s, n, t)
+            assert count_exact(make_spec(3, s, n, t)) == want, (s, n, t)
+            assert count_exact(make_spec(n, t, 3, s)) == want, (s, n, t)
+    desk = [(m, s, n, m * s // n) for m in range(1, 5) for n in range(1, 5)
+            if 3 in (m, n) and m * n <= BRUTEFORCE_MAX_CELLS for s in range(0, 13)
+            if m * s % n == 0 and math.comb(s + n - 1, n - 1) ** m <= 10 ** 5]
+    assert len(desk) == 43
+    for quad in desk:
+        spec = make_spec(*quad)
+        assert count_exact(spec) == count_bruteforce(spec), spec
+    for r in [*range(0, 61), 100, 5000]:
+        assert count_exact(make_spec(3, r, 3, r)) == _magic(r), r
+    assert _magic(100) == 13268976
+    assert leading_digits(count_exact(make_spec(3, 98, 49, 6)), 6) == (101100, 68)
+    assert leading_digits(count_exact(make_spec(3, 99, 9, 33)), 6) == (279207, 21)
+
+
+def test_three_row_caps_are_charged_up_front():
+    # the closed form charges every coefficient and term before it builds
+    # any: (3,1500,450,10) needs 1463517 units of work and (3,10**7,3,10**7)
+    # three gigabytes of coefficients, so both stop at once
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError) as work:
+            count_exact(make_spec(3, 1500, 450, 10), max_work=10 ** 5)
+        with pytest.raises(ResourceLimitError) as states:
+            count_exact(make_spec(3, 10 ** 7, 3, 10 ** 7))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (work.value.kind, work.value.limit, work.value.used) == ("work", 10 ** 5, 1463517)
+    assert (states.value.kind, states.value.limit) == ("states", exact.DEFAULT_MAX_STATES)
+    assert states.value.used > exact.DEFAULT_MAX_STATES
+    assert elapsed < 1
+    assert peak < 1 << 20
 
 
 def test_tall_specs_against_oriented_oracles():
