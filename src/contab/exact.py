@@ -14,15 +14,15 @@ wide, holds the number of rows at deficit v, so the at most m live rows
 never carry into the next digit; finished rows add nothing, and a code has
 at most b * (s + 1) bits.  CPython hashes an int as its value modulo
 2**61 - 1, and 2**(61 * b) is 1 modulo that, so deficits 61 apart hash
-alike and wide shapes fill a dict with collisions.  The layer dicts are
+alike and wide margins fill a dict with collisions.  The layer dicts are
 therefore keyed by the code's little-endian bytes, which hash as a byte
 string.  A key is decoded into (deficit, multiplicity) lists once per
 expanded state, one step per class by jumping to the highest set bit.
 
 Spending one column distributes t units over the rows, a row at deficit v
 taking 0 <= x <= hi = min(v, t).  No row needs a lower bound to stay
-completable: the pass stops with h = max(2, n // 2) columns left (below),
-and for 4 <= m <= n, the only shapes it meets, every deficit is at most
+completable: the pass stops with h = n // 2 columns left (below), and for
+4 <= m <= n, the only tables it counts, every deficit is at most
 s = n * t / m <= h * t, which the columns after the next can always absorb.
 Allocations are enumerated class by class.  A class of mu rows sharing
 deficit v takes a multiset of mu amounts with some total A, weighted by its
@@ -35,20 +35,12 @@ row taking hi = v finishes and adds nothing.  For each class but the last
 the walk takes every total that the classes after it can complete and every
 option at that total; the last class takes the units left in one lookup.  k
 rows landing at deficit d add k << (b * d): no sort, no merge.  A state of
-one class streams its only list unstored, since no benchmark shape met such
-a list twice in a pass.
-
-When s is much larger than t, most states are interior: every deficit is
-above t, so every row may take any amount 0..t and none finishes.  The
-moves of an interior state then depend on its shape alone (the code
-shifted down by its smallest deficit, the base): each child is a fixed
-code shifted up by base - t digits.  They are recorded as the pass first
-draws them, once per shape and pass, kept in one dict, and replayed, one
-shift each, whenever the shape recurs (1216 of the 2378 interior states
-of (4,30,20,6)).  A replayed move counts one unit of work and meets the
-state cap in the enumeration's order.  Stored moves and stored options
-share one bound of max_states entries and are never evicted; a shape or an
-option list met past it is enumerated and used but not stored.
+one class streams its only list unstored, since no benchmark table met such
+a list twice in a pass.  When s is much larger than t, most states have
+every deficit above t; their classes all have hi = t and hi < v, so they
+share the option lists of one key per class size.  The stored options
+are bounded by max_states entries in all and never evicted; a list met
+past that bound is built and used but not stored.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -62,10 +54,11 @@ is even, the one before it when n is odd, so no extra layer is kept.  Hence
 
 where s - D maps each deficit v to s - v (finished rows become s, rows at s
 drop out).  Every state is completable, so a complement missing from its
-layer is an internal error, and the division is exact.  For n <= 5 the pass
-runs to two columns left instead, which are finished in closed form.  Two
-rows (m <= n after the transpose) are that closed form read the other way,
-n rows of deficit t filling two columns of total s; no key is built.
+layer is an internal error, and the division is exact.
+
+Two rows (m <= n after the transpose) take a closed form instead: the
+first row, n entries in [0, t] summing to s, fixes the second, and
+inclusion exclusion over its entries above t counts it; no key is built.
 
 Three rows take a closed double sum instead of the pass.  Write each column
 as (a, b, t - a - b); the third row then sums to n * t - 2 s = s by itself,
@@ -98,7 +91,7 @@ state cap is the memory guard: it budgets STATE_BYTES, about a kilobyte,
 per state, the layer being expanded included, so the default 2**20 keeps a
 pass near a gigabyte.  A held state costs its key, ceil(b * (s + 1) / 8)
 bytes plus 33 of header (11 + 33 on (10,20,10,20)), a dict slot and its
-count; a stored move or option costs a code and its labelings.  Width
+count; a stored option costs a code and its labelings.  Width
 rule: a shape whose keys would outgrow the kilobyte, b * (s + 1) > 8192
 bits, fits no state in its budget, so the pass raises ResourceLimitError
 (kind "states") before it builds any key.
@@ -146,11 +139,11 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     if m == 1:
         return 1
     if m == 2:
-        return _two_column_count([t], [n], s)
+        return _two_rows(s, n, t)
     if m == 3:
         return _three_rows(spec, s, n, t, max_states, max_work)
     # stop with h columns left; mirror becomes the layer with n - h left
-    h = max(2, n // 2)
+    h = n // 2
     # no row needs a lower bound (module notes); m = 2 breaks this: (2,5,5,2)
     assert s <= h * t, "a deficit may need a lower bound"
     b = m.bit_length()
@@ -162,21 +155,15 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             kind="states", limit=0, used=1)
 
     layer = {(m << b * s).to_bytes(width, "little"): 1}
-    mirror = layer
     work = 0
-    memo = _Moves(t, b, width, max_states)
+    memo = _Moves(t, b, max_states)
     for cols in range(n, h, -1):
         nxt: dict[bytes, int] = {}
         for key, ways in layer.items():
-            code = int.from_bytes(key, "little")
-            vs, mus = _decode(code, b)
+            vs, mus = _decode(int.from_bytes(key, "little"), b)
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            if t < vs[0]:
-                moves = memo.interior(code, vs, mus)
-            else:
-                moves = memo.allocations(vs, mus)
-            for child, labelings in moves:
+            for child, labelings in memo.allocations(vs, mus):
                 work += 1
                 if work > max_work:
                     raise ResourceLimitError(
@@ -205,9 +192,6 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
         vs, mus = _decode(int.from_bytes(key, "little"), b)
         assert sum(map(int.__mul__, vs, mus)) == h * t, \
             "mass conservation violated"
-        if h == 2:
-            total += ways * _two_column_count(vs, mus, t)
-            continue
         # ways = orbit * fillings of the n - h spent columns; the mirror
         # state counts the fillings of the h columns left, times the orbit
         rest = _complement(vs, mus, s, m, b).to_bytes(width, "little")
@@ -303,51 +287,18 @@ def _over_q(a: list[int], t: int) -> list[int]:
 
 
 class _Moves:
-    """The moves of one count_exact pass, memoized under one budget.
+    """The option lists of one count_exact pass, memoized under one budget.
 
     options maps a class key (mu, hi, hi == v) to a dict from the class
     total A to its option list: (code, labelings) pairs, the code relative
-    to digit v - hi (see the module notes).  shapes maps an interior shape
-    to two parallel tuples: its child codes shifted down by base - t, and
-    their labelings.  held counts the options and moves stored, at most
-    max_states; nothing is evicted before the pass ends.
+    to digit v - hi (see the module notes).  held counts the option entries
+    stored, at most max_states; nothing is evicted before the pass ends.
     """
 
-    def __init__(self, t: int, b: int, width: int, max_states: int):
-        self.t, self.b, self.width, self.max_states = t, b, width, max_states
-        self.shapes: dict[bytes, tuple] = {}
+    def __init__(self, t: int, b: int, max_states: int):
+        self.t, self.b, self.max_states = t, b, max_states
         self.options: dict[tuple, dict] = {}
         self.held = 0
-
-    def interior(self, code: int, vs: list[int], mus: list[int]):
-        """(child code, labelings) pairs of an interior state."""
-        base = vs[0]
-        shape = (code >> self.b * base).to_bytes(self.width, "little")
-        # every child deficit is at least base - t
-        shift = self.b * (base - self.t)
-        entry = self.shapes.get(shape)
-        if entry is not None:
-            codes, labels = entry
-            return zip(map(shift.__rlshift__, codes), labels)
-        return self._record(shape, shift, self.allocations(vs, mus))
-
-    def _record(self, shape: bytes, shift: int, moves):
-        """Yield the moves of an unseen shape; store them if they fit the budget.
-
-        Enumerating may store option lists, so the room is read after every
-        move and at the end; once the moves outgrow it the rest streams.
-        """
-        codes, labels = [], []
-        for child, labelings in moves:
-            yield child, labelings
-            if len(codes) >= self.max_states - self.held:
-                yield from moves
-                return
-            codes.append(child >> shift)
-            labels.append(labelings)
-        if len(codes) <= self.max_states - self.held:
-            self.held += len(codes)
-            self.shapes[shape] = (tuple(codes), tuple(labels))
 
     def allocations(self, vs: list[int], mus: list[int]):
         """(child code, labelings) for every way to spend one column.
@@ -528,46 +479,10 @@ def count_bruteforce(spec: TableSpec) -> int:
     return place(0, (0,) * n)
 
 
-def _two_column_count(vs: list[int], mus: list[int], t: int) -> int:
-    """Labeled solutions of sum(x_i) = t with max(0, v_i - t) <= x_i <= min(v_i, t).
-
-    mus[i] rows have deficit vs[i].  Standard inclusion exclusion over
-    per-class bound violations after shifting each x to its lower bound: a
-    term (units left, signed count of violation sets) adds its weight times
-    the solutions without upper bounds.  This runs once per state of the
-    last layer, so signs and binomials are running products and terms stay
-    an unmerged list: the join takes this path only for n <= 5, so at most
-    five rows and 2**5 terms, and two rows make one class, whose terms all
-    differ.
-    """
-    rows = 0
-    shifted = t
-    for v, mu in zip(vs, mus):
-        rows += mu
-        if v > t:
-            # the bounds [v - t, t] are empty past 2t
-            if v > 2 * t:
-                return 0
-            shifted -= mu * (v - t)
-    if shifted < 0:
-        return 0
-    terms = [(shifted, 1)]
-    for v, mu in zip(vs, mus):
-        # a violation takes a row hi - lo + 1 units past its lower bound
-        step = v + 1 if v <= t else 2 * t - v + 1
-        if step > shifted:
-            continue
-        more = []
-        for rem, weight in terms:
-            # weight * (-1) ** j * comb(mu, j) for j violations
-            for j in range(1, mu + 1):
-                rem -= step
-                if rem < 0:
-                    break
-                weight = -weight * (mu - j + 1) // j
-                more.append((rem, weight))
-        terms += more
-    return sum(w * comb(rem + rows - 1, rows - 1) for rem, w in terms)
+def _two_rows(s: int, n: int, t: int) -> int:
+    """Two rows: inclusion exclusion over the j entries of the first above t."""
+    return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
+               for j in range(s // (t + 1) + 1))
 
 
 def _compositions(total: int, parts: int):

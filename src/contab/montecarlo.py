@@ -220,9 +220,9 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
         raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.Philox(int(seed)))
     # 8-byte values per sample in a chunk: entry weights (m rows of t+1), the
-    # padded lookahead (m rows of t+2), the uniforms, the budgets and their
-    # gathered ratio slots (m each), and the draw's (t+1)-row temporaries
-    per_sample = 8 * (m * (t + 1) + m * (t + 2) + m * n + 2 * m + 6 * (t + 1))
+    # padded lookahead (m - 1 rows of t+2), the uniforms, the budgets and
+    # their gathered ratio slots (m each), and the draw's (t+1)-row temporaries
+    per_sample = 8 * (m * (t + 1) + (m - 1) * (t + 2) + m * n + 2 * m + 6 * (t + 1))
     # each column's ratio table and its index array: 16 bytes for each of
     # (t+1) x (budgets present), and at most s+1 and at most m*chunk budgets
     # are present; either bound gives a chunk that fits, take the larger
@@ -282,36 +282,38 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
     logw = np.zeros(size, dtype=np.float64)
     cols = np.arange(size)
     xs = np.arange(width)[:, None]
-    # pad[i][1 + v]: scaled weighted ways rows i.. can absorb v into the
-    # column; pad[i][0] stays 0 and stands for every v < 0 in the draw
-    pad = np.zeros((m, width + 1, size))
+    # pad[i][1 + v]: scaled weighted ways rows i + 1.. can absorb v into the
+    # column, read by the draw of row i; pad[i][0] stays 0 and stands for
+    # every v < 0 in the draw.  Only the m - 1 drawn rows have one
+    pad = np.zeros((m - 1, width + 1, size))
     look = pad[:, 1:]
     for j in range(n - 1):
         # the samples whose weights differ: one lane in column 0, all later
         lanes = budgets[:, :1] if j == 0 else budgets
         k = lanes.shape[1]
         a = _entry_weights(lanes, n - 1 - j, t, lg)   # a[x, i, lane]
-        # the last row absorbs v alone; rows above convolve in their weights
-        look[m - 1, :, :k] = 0.0
-        look[m - 1, :a.shape[0], :k] = a[:, m - 1]
+        # the last row absorbs v alone (an empty slice when m = 1); rows above
+        # convolve in their weights
+        look[-1:, :, :k] = 0.0
+        look[-1:, :a.shape[0], :k] = a[:, m - 1]
         # out[v] = sum over x of a[x, i] * below[v - x], summed in x order
         for i in range(m - 2, 0, -1):
-            below, out = look[i + 1, :, :k], look[i, :, :k]
+            below, out = look[i, :, :k], look[i - 1, :, :k]
             last = min(t, int(lanes[i].max()))
             for v in range(width):
                 span = min(v, last) + 1
                 np.einsum("xk,xk->k", a[:span, i], below[v::-1][:span], out=out[v])
             out /= out.max(axis=0)
         # one lane stands for every sample; empty once each sample has its own
-        look[1:, :, k:] = look[1:, :, :1]
+        look[:, :, k:] = look[:, :, :1]
         t_rem = np.full(size, t, dtype=np.int64)
         for i in range(m - 1):
             hi = np.minimum(budgets[i], t_rem)
             rows = int(hi.max()) + 1
-            # p[x] = a[x] * look[i + 1][t_rem - x], gathered from the flat
-            # padded table; mode="clip" sends every v < -1 to the zero row too
+            # p[x] = a[x] * look[i][t_rem - x], gathered from the flat padded
+            # table; mode="clip" sends every v < -1 to the zero row too
             at = (t_rem + 1) * size + cols - xs[:rows] * size
-            p = a[:rows, i] * pad[i + 1].reshape(-1).take(at, mode="clip")
+            p = a[:rows, i] * pad[i].reshape(-1).take(at, mode="clip")
             # cumsum runs down the strided axis, so it wins only when the
             # draw has more rows than samples; both add in x order
             if rows > size:

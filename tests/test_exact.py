@@ -112,10 +112,10 @@ def test_column_totals_near_1000():
 
 
 def test_join_on_closed_forms_both_parities():
-    # from n = 6 on, the pass stops halfway and joins each state with its
-    # complement; joined states hold finished rows (deficit 0) and untouched
-    # rows (deficit s), for even n (one layer) and odd n (two layers); two
-    # and three rows are closed forms and never reach the join, four rows do
+    # the pass stops halfway and joins each state with its complement;
+    # joined states hold finished rows (deficit 0) and untouched rows
+    # (deficit s), for even n (one layer) and odd n (two layers); two and
+    # three rows are closed forms and never reach the join, four rows do
     for n in range(2, 13):
         assert count_exact(make_spec(n, 1, n, 1)) == math.factorial(n), n
         assert count_exact(make_spec(n, 2, n, 2)) == _two_per_line(n), n
@@ -123,7 +123,7 @@ def test_join_on_closed_forms_both_parities():
             if n * t % 2 == 0:
                 s = n * t // 2
                 assert count_exact(make_spec(2, s, n, t)) == _two_rows(s, n, t), (n, t)
-            if n in (6, 7, 8) and n * t % 4 == 0:
+            if 4 <= n <= 8 and n * t % 4 == 0:
                 s = n * t // 4
                 assert count_exact(make_spec(4, s, n, t)) == _four_rows(s, n, t), (n, t)
 
@@ -192,8 +192,8 @@ def test_work_cap_raises_with_diagnostics():
 
 
 def test_work_cap_inside_cached_moves():
-    # step 100000 of (4,30,20,6) replays the stored moves of an interior
-    # shape met earlier in the pass; the budget is still checked per step
+    # step 100000 of (4,30,20,6) draws from option lists stored earlier in
+    # the pass; the budget is still checked per step
     with pytest.raises(ResourceLimitError) as err:
         count_exact(make_spec(4, 30, 20, 6), max_work=99_999)
     assert err.value.kind == "work"
@@ -201,7 +201,7 @@ def test_work_cap_inside_cached_moves():
 
 
 def _record_memos(monkeypatch):
-    # the move memo of every later count_exact call, in call order
+    # the option memo of every later count_exact call, in call order
     memos = []
 
     class Recorded(exact._Moves):
@@ -213,29 +213,22 @@ def _record_memos(monkeypatch):
     return memos
 
 
-def test_move_cache_cap_keeps_the_count(monkeypatch):
-    # no layer of (4,30,20,6) holds more than 956 states, but its stored
-    # interior moves outgrow 2000; nothing is evicted, so the state cap is
-    # the memo's only bound and later shapes are expanded unstored
-    memos = _record_memos(monkeypatch)
-    spec = make_spec(4, 30, 20, 6)
-    count = count_exact(spec)
-    assert leading_digits(count, 6) == (814039, 34)
-    assert memos[-1].held > 2000
-    assert count_exact(spec, max_states=2000) == count
-    assert 0 < len(memos[-1].shapes) and memos[-1].held <= 2000
-
-
 def test_option_budget_keeps_the_count(monkeypatch):
     # no layer of (4,12,4,12) holds more than 86 states, but its option
-    # lists reach 609 entries, so under 200 the shared budget fills with
-    # options first and later lists are built and used but not stored
+    # lists reach 609 entries, so under 200 the budget fills and later
+    # lists are built and used but not stored
     memos = _record_memos(monkeypatch)
     spec = make_spec(4, 12, 4, 12)
     count = count_exact(spec)
     assert (count, memos[-1].held) == (20158151, 609)
     assert count_exact(spec, max_states=200) == count
     assert memos[-1].held == 200
+    # no layer of (4,30,20,6) holds more than 956 states, so a cap of 2000
+    # leaves its count as it is
+    spec = make_spec(4, 30, 20, 6)
+    count = count_exact(spec)
+    assert leading_digits(count, 6) == (814039, 34)
+    assert count_exact(spec, max_states=2000) == count
 
 
 def test_work_cap_is_prompt_on_wide_margins():
@@ -253,8 +246,8 @@ def test_work_cap_is_prompt_on_wide_margins():
 
 
 def test_work_cap_draws_no_moves_ahead(monkeypatch):
-    # the first interior shapes of (6,300,60,30) have thousands of moves;
-    # they are recorded as the pass draws them, so a work cap stops the
+    # the first states of (6,300,60,30) have thousands of moves; they are
+    # enumerated as the pass draws them, so a work cap stops the
     # enumeration at most one move past the budget
     drawn = 0
     allocations = exact._Moves.allocations
@@ -301,7 +294,7 @@ def test_allocations_match_a_labeled_enumeration():
     stored = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
-        memos = [exact._Moves(t, b, s + 1, budget) for budget in (10 ** 6, 0)]
+        memos = [exact._Moves(t, b, budget) for budget in (10 ** 6, 0)]
         start = [s] * m
         layers = [(n, [start])]
         if n > 2:
@@ -322,16 +315,16 @@ def test_allocations_match_a_labeled_enumeration():
 
 
 def test_no_deficit_needs_a_lower_bound():
-    # the pass runs for 4 <= m <= n (checked here from m = 3) and stops with
-    # h = max(2, n // 2) columns left, so a deficit (at most s) never exceeds
-    # the (c - 1) * t that the columns after the next can absorb, c > h.
-    # With two rows it can, and (2,5,5,2) takes the closed form instead
-    shapes = [(m, n, t) for n in range(3, 301) for m in range(3, n + 1)
+    # the pass runs for 4 <= m <= n and stops with h = n // 2 columns left,
+    # so a deficit (at most s) never exceeds the (c - 1) * t that the
+    # columns after the next can absorb, c > h.  With two rows it can, and
+    # (2,5,5,2) takes the closed form instead
+    shapes = [(m, n, t) for n in range(4, 301) for m in range(4, n + 1)
               for t in range(1, 61) if n * t % m == 0]
     assert len(shapes) > 10 ** 5
-    assert [(m, n, t) for m, n, t in shapes if n * t // m > max(2, n // 2) * t] == []
+    assert [(m, n, t) for m, n, t in shapes if n * t // m > n // 2 * t] == []
     m, s, n, t = 2, 5, 5, 2
-    assert s > max(2, n // 2) * t
+    assert s > n // 2 * t
     assert count_exact(make_spec(m, s, n, t)) == count_bruteforce(make_spec(m, s, n, t))
 
 
@@ -366,9 +359,9 @@ def _four_rows(s, n, t):
 
 
 def test_three_rows_with_row_sums_far_above_column_sums():
-    # with s >> t most states have every deficit above t, so their moves
-    # come from the interior-shape memo; three rows take the closed form,
-    # so four rows are checked here.  The oracles fill all rows but the last
+    # with s >> t most states have every deficit above t, so every row may
+    # take any amount; three rows take the closed form, so four rows are
+    # checked here.  The oracles fill all rows but the last
     # column by column, and are themselves checked against the brute force
     for s in range(0, 7):
         for n in (3, 4):
