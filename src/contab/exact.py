@@ -24,23 +24,23 @@ taking 0 <= x <= hi = min(v, t).  No row needs a lower bound to stay
 completable: the pass stops with h = n // 2 columns left (below), and for
 4 <= m <= n, the only tables it counts, every deficit is at most
 s = n * t / m <= h * t, which the columns after the next can always absorb.
-Allocations are enumerated class by class.  A class of mu rows sharing
-deficit v takes a multiset of mu amounts with some total A, weighted by its
-labelings mu! / prod k_x! (k_x rows take x).  Its part of the child code
-and its labelings depend only on (mu, hi, hi == v, A), so each such option
-list is built once per pass, by a stack walk over the rows that pushes only
-choices that can still be completed, and then looked up.  A list holds
-codes relative to digit v - hi, shifted up by b * (v - hi) where used; a
-row taking hi = v finishes and adds nothing.  For each class but the last
-the walk takes every total that the classes after it can complete and every
-option at that total; the last class takes the units left in one lookup.  k
-rows landing at deficit d add k << (b * d): no sort, no merge.  A state of
-one class streams its only list unstored, since no benchmark table met such
-a list twice in a pass.  When s is much larger than t, most states have
-every deficit above t; their classes all have hi = t and hi < v, so they
-share the option lists of one key per class size.  The stored options
-are bounded by max_states entries in all and never evicted; a list met
-past that bound is built and used but not stored.
+A class of mu rows sharing deficit v takes a multiset of mu amounts with
+some total A, weighted by its labelings mu! / prod k_x! (k_x rows take x).
+Its part of the child code and its labelings depend only on
+(mu, hi, hi == v, A), so each such option list is built once per pass, by a
+stack walk over the rows that pushes only choices that can still be
+completed, and then looked up; its codes are relative to digit v - hi, a
+row taking hi = v finishes and adds nothing, and k rows landing at deficit
+d add k << (b * d).  Many allocations share a child (7 each in the capped
+(10,20,10,20) stretch, 20 under a 3e6 budget), so a state's children are
+summed class by class, and each child costs one key, one product with
+the state's count and one insert: each class but the last two folds into
+one {partial code: labelings} dict per total taken, the next to last takes
+each total it can and the last the units left, in one lookup.  These
+dicts keep int keys, whose collisions need rows 61 apart (at most 5 keys
+to a hash on (5,200,10,100)).  A state of one class has no two moves with
+one child and streams them unstored.  Stored options are bounded by
+max_states entries in all and never evicted; past that, lists go unstored.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -84,17 +84,18 @@ raises ResourceLimitError of that kind at once.
 
 Counts are exact Python ints throughout.  Two budgets bound the forward
 pass of four rows or more (the join adds no work): a cap on the states held
-in the layer being built, checked at each insert, and a budget on
-enumerated allocations.
-Exceeding either raises ResourceLimitError, never a wrong answer.  The
-state cap is the memory guard: it budgets STATE_BYTES, about a kilobyte,
-per state, the layer being expanded included, so the default 2**20 keeps a
-pass near a gigabyte.  A held state costs its key, ceil(b * (s + 1) / 8)
-bytes plus 33 of header (11 + 33 on (10,20,10,20)), a dict slot and its
-count; a stored option costs a code and its labelings.  Width
-rule: a shape whose keys would outgrow the kilobyte, b * (s + 1) > 8192
-bits, fits no state in its budget, so the pass raises ResourceLimitError
-(kind "states") before it builds any key.
+in the layer being built, checked at each insert and on each dict of one
+total that a state sums, and a budget on column allocations, charged from
+the option-list lengths before the children they make are formed (per move
+for one class).  Either raises ResourceLimitError, never a wrong answer.
+The state cap is the memory guard: it budgets STATE_BYTES, about a
+kilobyte, per state, the layer being expanded included, so the default
+2**20 keeps a pass near a gigabyte.  A held state costs its key,
+ceil(b * (s + 1) / 8) bytes plus 33 of header (11 + 33 on (10,20,10,20)),
+a dict slot and its count; a stored option costs a code and its labelings.
+Width rule: a shape whose keys would outgrow the kilobyte, b * (s + 1) >
+8192 bits, fits no state in its budget, so the pass raises
+ResourceLimitError (kind "states") before it builds any key.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -102,7 +103,7 @@ independent oracle for small instances.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial, prod
 from operator import mul, sub
 
@@ -126,8 +127,8 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     """Exact number of matrices with the given margins.
 
     max_states caps the states held in one column layer (default 2**20);
-    max_work caps the total number of enumerated column allocations
-    (default 10**9).  A negative cap is an InvalidSpecError.
+    max_work caps the column allocations, the ways to spend one column
+    from one state (default 10**9).  A negative cap is an InvalidSpecError.
     """
     if max_states < 0 or max_work < 0:
         raise InvalidSpecError(
@@ -163,14 +164,16 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             vs, mus = _decode(int.from_bytes(key, "little"), b)
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            for child, labelings in memo.allocations(vs, mus):
-                work += 1
+            if len(vs) == 1:  # each move its own child, one step of work
+                v, hi = vs[0], min(vs[0], t)
+                moves, step = _class_options(mus[0], hi, hi == v, t, b, b * (v - hi)), 1
+            else:
+                children, allocations = memo.children(vs, mus, max_work - work)
+                moves, step, work = children.items(), 0, work + allocations
+            for child, labelings in moves:
+                work += step
                 if work > max_work:
-                    raise ResourceLimitError(
-                        f"work budget exhausted counting {spec}: "
-                        f"{work} allocation steps > {max_work} "
-                        f"({len(nxt)} states in the layer being built)",
-                        kind="work", limit=max_work, used=work)
+                    break
                 # one lookup and one store: hashing the key is much of a step
                 child = child.to_bytes(width, "little")
                 known = nxt.get(child)
@@ -183,6 +186,11 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                         f"state cap exhausted counting {spec}: "
                         f"{len(nxt) + 1} states in one layer > {max_states}",
                         kind="states", limit=max_states, used=len(nxt) + 1)
+            if work > max_work:
+                raise ResourceLimitError(
+                    f"work budget exhausted counting {spec}: over {max_work} allocations "
+                    f"({len(nxt)} states in the layer being built)", kind="work",
+                    limit=max_work, used=max_work + 1)
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -289,10 +297,9 @@ def _over_q(a: list[int], t: int) -> list[int]:
 class _Moves:
     """The option lists of one count_exact pass, memoized under one budget.
 
-    options maps a class key (mu, hi, hi == v) to a dict from the class
-    total A to its option list: (code, labelings) pairs, the code relative
-    to digit v - hi (see the module notes).  held counts the option entries
-    stored, at most max_states; nothing is evicted before the pass ends.
+    options maps a class key (mu, hi, hi == v) to {class total A: option
+    list of (code relative to digit v - hi, labelings) pairs}; held counts
+    the entries stored, at most max_states, none evicted before the pass ends.
     """
 
     def __init__(self, t: int, b: int, max_states: int):
@@ -300,72 +307,74 @@ class _Moves:
         self.options: dict[tuple, dict] = {}
         self.held = 0
 
-    def allocations(self, vs: list[int], mus: list[int]):
-        """(child code, labelings) for every way to spend one column.
+    def children(self, vs: list[int], mus: list[int], room: int) -> tuple[dict, int]:
+        """{child code: summed labelings} of a state of several classes, and its allocations.
 
-        mus[i] rows have deficit vs[i], the deficits increasing; each row
-        takes an amount in [0, min(v, t)] and the amounts sum to t.
+        mus[i] rows have deficit vs[i], increasing.  Once the allocations,
+        counted from the option-list lengths, pass room, no child is formed:
+        the dict is empty and the count only known to pass room.
         """
-        b, t = self.b, self.t
-        last = len(vs) - 1
-        hi = [v if v < t else t for v in vs]
-        if last == 0:
-            # one class: its options are the moves, used once, so not stored
-            v, high = vs[0], hi[0]
-            options = _class_options(mus[0], high, high == v, t, b)
-            shift = b * (v - high)
-            return options if shift == 0 else (
-                (code << shift, labelings) for code, labelings in options)
-        return self._walk(vs, mus, hi, last)
-
-    def _walk(self, vs: list[int], mus: list[int], hi: list[int], last: int):
-        """Yield the moves of a state of several classes, class by class.
-
-        A stack entry (ci, rem, code, ways, a) has placed the classes before
-        ci with rem units left; with a >= 0 it still has to take each option
-        of class ci at total a, already counted in rem.  Class ci takes the
-        totals that the classes after it can complete, and the last class
-        takes rem in one lookup.
-        """
-        b = self.b
-        # most units the classes from ci on can absorb
-        max_after = [0] * (last + 2)
-        tables = [None] * (last + 1)
-        for ci in range(last, -1, -1):
-            max_after[ci] = max_after[ci + 1] + mus[ci] * hi[ci]
-            tables[ci] = self.options.setdefault((mus[ci], hi[ci], hi[ci] == vs[ci]), {})
-        v2, mu2, hi2, table2 = vs[last], mus[last], hi[last], tables[last]
-        shift2 = b * (v2 - hi2)
-        stack = [(0, self.t, 0, 1, -1)]
-        while stack:
-            ci, rem, code, ways, a = stack.pop()
-            v, mu, high, table = vs[ci], mus[ci], hi[ci], tables[ci]
-            shift = b * (v - high)
-            if a >= 0:
-                for option, labelings in table.get(a) or self._build(table, mu, high, v, a):
-                    stack.append((ci + 1, rem, code + (option << shift), ways * labelings, -1))
-                continue
-            # plain comparisons, not min()/max(): this runs once per partial
-            a_min = rem - max_after[ci + 1]
-            if a_min < 0:
-                a_min = 0
-            a_max = mu * high
-            if a_max > rem:
-                a_max = rem
-            if ci + 1 < last:
-                # one list at a time on the stack: a class's lists over all
-                # its totals can be far longer than one
-                for a in range(a_max, a_min - 1, -1):
-                    stack.append((ci, rem - a, code, ways, a))
-                continue
-            for a in range(a_max, a_min - 1, -1):
-                r = rem - a
-                options = table.get(a) or self._build(table, mu, high, v, a)
-                options2 = table2.get(r) or self._build(table2, mu2, hi2, v2, r)
-                for option, labelings in options:
-                    head, w = code + (option << shift), ways * labelings
-                    for option2, labelings2 in options2:
-                        yield head + (option2 << shift2), w * labelings2
+        b, t, cap, memo = self.b, self.t, self.max_states, self.options
+        rest = sum(map(mul, mus, map(min, vs, repeat(t))))  # what later classes absorb
+        # partials maps the units u taken so far to (code, weight) pairs and
+        # counts to their partial allocations, each a floor on the allocations
+        partials, counts = {0: ((0, 1),)}, {0: 1}
+        for v, mu in zip(vs[:-2], mus[:-2]):
+            hi = v if v < t else t
+            table, top, shift = memo.setdefault((mu, hi, hi == v), {}), mu * hi, b * (v - hi)
+            rest -= top
+            folded, grown, floor = {}, {}, 0
+            for u, ways in counts.items():
+                items, rem = partials[u], t - u
+                lo = rem - rest  # plain comparisons below: this runs once per total
+                for a in range(lo if lo > 0 else 0, (top if top < rem else rem) + 1):
+                    options = table.get(a) or self._build(table, mu, hi, v, a)
+                    floor += ways * len(options)
+                    if floor > room:
+                        return {}, floor
+                    grown[u + a] = grown.get(u + a, 0) + ways * len(options)
+                    acc = folded.setdefault(u + a, {})
+                    get = acc.get
+                    for code, lab in options:
+                        code <<= shift
+                        for key, weight in items:
+                            key += code
+                            acc[key] = get(key, 0) + weight * lab
+                    if len(acc) > cap:
+                        raise ResourceLimitError("state cap exhausted by one state's partials",
+                                                 kind="states", limit=cap, used=cap + 1)
+            partials = {w: acc.items() for w, acc in folded.items()}
+            counts = grown
+        # the last two classes at once, the last taking the units left
+        (v1, v2), (mu1, mu2) = vs[-2:], mus[-2:]
+        hi1, hi2 = v1 if v1 < t else t, v2 if v2 < t else t
+        table1 = memo.setdefault((mu1, hi1, hi1 == v1), {})
+        table2 = memo.setdefault((mu2, hi2, hi2 == v2), {})
+        top, allocations, pairs = mu1 * hi1, 0, []
+        for u, ways in counts.items():
+            rem = t - u
+            lo = rem - mu2 * hi2
+            for a in range(lo if lo > 0 else 0, (top if top < rem else rem) + 1):
+                options1 = table1.get(a) or self._build(table1, mu1, hi1, v1, a)
+                options2 = table2.get(rem - a) or self._build(table2, mu2, hi2, v2, rem - a)
+                pairs.append((partials[u], options1, options2))
+                allocations += ways * len(options1) * len(options2)
+        if allocations > room:
+            return {}, allocations
+        acc, s1, s2 = {}, b * (v1 - hi1), b * (v2 - hi2)
+        get = acc.get
+        for items, options1, options2 in pairs:
+            for code1, lab1 in options1:
+                code1 <<= s1
+                for code2, lab2 in options2:
+                    code, lab = code1 + (code2 << s2), lab1 * lab2
+                    for key, weight in items:
+                        key += code
+                        acc[key] = get(key, 0) + weight * lab
+            if len(acc) > cap:
+                raise ResourceLimitError("state cap exhausted by one state's children",
+                                         kind="states", limit=cap, used=cap + 1)
+        return acc, allocations
 
     def _build(self, table: dict, mu: int, hi: int, v: int, total: int) -> list:
         """The option list of a class at one total, stored if the budget has room."""
@@ -376,15 +385,15 @@ class _Moves:
         return options
 
 
-def _class_options(mu: int, hi: int, fin: bool, total: int, b: int):
+def _class_options(mu: int, hi: int, fin: bool, total: int, b: int, low: int = 0):
     """Yield (code, labelings) for each multiset of mu amounts in [0, hi] summing to total.
 
-    A row taking x adds 1 << b * (hi - x) to the code, except that with fin
-    (hi is the class's deficit) a row taking hi finishes and adds nothing;
-    labelings = mu! / prod k_x!, the ways to hand the amounts to labeled
-    rows.  A stack entry (a, rows, rem, ways, code) still has to hand
-    amounts <= a to `rows` rows with rem units left; only entries that can
-    still be completed are pushed.
+    A row taking x adds 1 << low + b * (hi - x) to the code, except that
+    with fin (hi is the class's deficit) a row taking hi finishes and adds
+    nothing; labelings = mu! / prod k_x!, the ways to hand the amounts to
+    labeled rows.  A stack entry (a, rows, rem, ways, code) still has to
+    hand amounts <= a to `rows` rows with rem units left; only entries that
+    can still be completed are pushed.
     """
     stack = [(hi, mu, total, 1, 0)]
     while stack:
@@ -393,7 +402,7 @@ def _class_options(mu: int, hi: int, fin: bool, total: int, b: int):
             a = rem
         # every remaining row takes nothing; hi >= 1, so none finishes
         if rem == 0:
-            yield code + (rows << b * hi), ways
+            yield code + (rows << low + b * hi), ways
             continue
         # k >= 1 rows take amount x, the rest take less
         for x in range(a, 0, -1):
@@ -405,7 +414,7 @@ def _class_options(mu: int, hi: int, fin: bool, total: int, b: int):
                 kmin = 1
             if kmax > rows:
                 kmax = rows
-            shift = b * (hi - x)
+            shift = low + b * (hi - x)
             for k in range(kmin, kmax + 1):
                 child = code + (k << shift) if x < hi or not fin else code
                 if k == rows:
@@ -461,7 +470,8 @@ def count_bruteforce(spec: TableSpec) -> int:
         raise InvalidSpecError(
             f"brute force restricted to C(s+n-1, n-1)^m <= {BRUTEFORCE_MAX_ROW_TUPLES} "
             f"row tuples, got {row_tuples}")
-    rows = list(_compositions(s, n))
+    rows = [tuple(hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, s + n - 1)))
+            for bars in combinations(range(s + n - 1), n - 1)]  # stars and bars
 
     def place(i: int, colsums: tuple[int, ...]) -> int:
         if i == m:
@@ -483,13 +493,3 @@ def _two_rows(s: int, n: int, t: int) -> int:
     """Two rows: inclusion exclusion over the j entries of the first above t."""
     return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
                for j in range(s // (t + 1) + 1))
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

@@ -97,10 +97,26 @@ def _two_per_line(n):
 
 
 def _two_rows(s, n, t):
-    # the first row (x_1..x_n) in [0, t]^n sums to s and fixes the second;
-    # inclusion-exclusion over the entries above t
-    return sum((-1) ** j * math.comb(n, j) * math.comb(s - (t + 1) * j + n - 1, n - 1)
-               for j in range(n + 1) if (t + 1) * j <= s)
+    # column by column: the first row takes x in [0, t] and the second t - x;
+    # count the first rows summing to s, one window sum of t + 1 per column
+    ways = [1] + [0] * s
+    for _ in range(n):
+        run, nxt = 0, []
+        for a in range(s + 1):
+            run += ways[a] - (ways[a - t - 1] if a > t else 0)
+            nxt.append(run)
+        ways = nxt
+    return ways[s]
+
+
+def test_two_row_oracle_against_brute_force():
+    # the column oracle stands in for count_exact's inclusion-exclusion sum
+    # on wide two-row shapes, so it is itself checked against the brute force
+    desk = [(s, n, 2 * s // n) for n in range(1, 7) for s in range(0, 13)
+            if 2 * s % n == 0 and math.comb(s + n - 1, n - 1) ** 2 <= 10 ** 5]
+    assert len(desk) > 20
+    for s, n, t in desk:
+        assert _two_rows(s, n, t) == count_bruteforce(make_spec(2, s, n, t)), (s, n, t)
 
 
 def test_two_per_line_closed_form_150():
@@ -166,7 +182,7 @@ def test_join_agrees_with_brute_force():
 
 
 def test_halfway_join_halves_the_work():
-    # the full pass over (4,30,20,6) enumerates 456038 allocations; stopping
+    # the full pass over (4,30,20,6) charges 456038 allocations; stopping
     # at 10 columns left needs 228205
     count = count_exact(make_spec(4, 30, 20, 6), max_work=250_000)
     assert leading_digits(count, 6) == (814039, 34)
@@ -192,8 +208,8 @@ def test_work_cap_raises_with_diagnostics():
 
 
 def test_work_cap_inside_cached_moves():
-    # step 100000 of (4,30,20,6) draws from option lists stored earlier in
-    # the pass; the budget is still checked per step
+    # allocation 100000 of (4,30,20,6) falls in a state whose option lists
+    # were stored earlier in the pass; the budget is still exact to one step
     with pytest.raises(ResourceLimitError) as err:
         count_exact(make_spec(4, 30, 20, 6), max_work=99_999)
     assert err.value.kind == "work"
@@ -246,23 +262,27 @@ def test_work_cap_is_prompt_on_wide_margins():
 
 
 def test_work_cap_draws_no_moves_ahead(monkeypatch):
-    # the first states of (6,300,60,30) have thousands of moves; they are
-    # enumerated as the pass draws them, so a work cap stops the
-    # enumeration at most one move past the budget
-    drawn = 0
-    allocations = exact._Moves.allocations
+    # the first state of (6,300,60,30) streams its 2412 moves, one step of
+    # work each; a later state's allocations are counted from its option
+    # lists before any child is formed, so the state that passes the budget
+    # forms none and the children formed stand for at most the budget
+    calls = []
+    children = exact._Moves.children
 
-    def counted(self, *args):
-        nonlocal drawn
-        for move in allocations(self, *args):
-            drawn += 1
-            yield move
+    def counted(self, vs, mus, room):
+        got, allocations = children(self, vs, mus, room)
+        calls.append((room, allocations, len(got)))
+        return got, allocations
 
-    monkeypatch.setattr(exact._Moves, "allocations", counted)
+    monkeypatch.setattr(exact._Moves, "children", counted)
     with pytest.raises(ResourceLimitError) as err:
         count_exact(make_spec(6, 300, 60, 30), max_work=10_000)
     assert (err.value.kind, err.value.used) == ("work", 10_001)
-    assert drawn <= 10_001
+    formed = [allocations for room, allocations, got in calls if got]
+    assert formed and sum(formed) <= 10_000
+    assert all(got == 0 for room, allocations, got in calls if allocations > room)
+    room, allocations, got = calls[-1]
+    assert allocations > room
 
 
 def _labeled_moves(deficits, t, cap_next, b):
@@ -275,7 +295,7 @@ def _labeled_moves(deficits, t, cap_next, b):
         if sum(xs) == t:
             child = sum(1 << b * (v - x) for v, x in zip(deficits, xs) if v > x)
             groups[child, tuple(sorted(zip(deficits, xs)))] += 1
-    return Counter((child, size) for (child, _), size in groups.items())
+    return groups
 
 
 def _deficits(code, b, s):
@@ -285,33 +305,70 @@ def _deficits(code, b, s):
 def test_allocations_match_a_labeled_enumeration():
     # every state of the first two layers of small shapes, both parities of
     # n; one memo per shape so later states reuse stored option lists, and
-    # one with no budget, which stores none.  The oracle keeps each row's
-    # lower bound max(0, v - cap_next), which allocations never applies:
-    # for 3 <= m <= n it is zero (two rows never reach this pass)
+    # one whose option budget is spent, which stores none.  The oracle keeps
+    # each row's lower bound max(0, v - cap_next), which the pass never
+    # applies: for 3 <= m <= n it is zero (two rows never reach this pass).
+    # A state of one class streams its moves, each its own child; a state of
+    # several sums each child's labelings over its allocations, and counts them
     shapes = [(m, s, n, m * s // n) for m in range(3, 6) for s in range(1, 9)
               for n in range(m, 9) if m * s % n == 0 and (m * s // n + 1) ** m <= 4096]
     assert {n % 2 for _, _, n, _ in shapes} == {0, 1}
-    stored = 0
+    stored = summed = several = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
-        memos = [exact._Moves(t, b, budget) for budget in (10 ** 6, 0)]
+        memos = [exact._Moves(t, b, 10 ** 6) for _ in range(2)]
+        memos[1].held = memos[1].max_states
         start = [s] * m
-        layers = [(n, [start])]
-        if n > 2:
-            children = _labeled_moves(start, t, (n - 1) * t, b)
-            layers.append((n - 1, sorted(_deficits(c, b, s) for c in {c for c, _ in children})))
+        children = {child for child, _ in _labeled_moves(start, t, (n - 1) * t, b)}
+        layers = [(n, [start]), (n - 1, sorted(_deficits(c, b, s) for c in children))]
         for cols, states in layers:
             cap_next = (cols - 1) * t
             for deficits in states:
+                groups = _labeled_moves(deficits, t, cap_next, b)
+                want = Counter()
+                for (child, _), size in groups.items():
+                    want[child] += size
                 classes = sorted(Counter(deficits).items())
+                if len(classes) == 1:
+                    (v, mu), = classes
+                    hi = min(v, t)
+                    moves = list(exact._class_options(mu, hi, hi == v, t, b, b * (v - hi)))
+                    assert len(moves) == len(groups) and Counter(dict(moves)) == want
+                    continue
                 vs, mus = [v for v, _ in classes], [mu for _, mu in classes]
-                want = _labeled_moves(deficits, t, cap_next, b)
                 for memo in memos:
-                    got = Counter(memo.allocations(vs, mus))
-                    assert got == want, ((m, s, n, t), deficits, memo.max_states)
-        assert memos[1].held == 0
+                    got = memo.children(vs, mus, len(groups))
+                    assert got == (want, len(groups)), ((m, s, n, t), deficits, memo.held)
+                    over, allocations = memo.children(vs, mus, len(groups) - 1)
+                    assert over == {} and allocations > len(groups) - 1
+                several += 1
+                summed += len(groups) > len(want)
+        assert not any(memos[1].options.values())
         stored += memos[0].held
-    assert stored > 0
+    assert stored > 0 and several > 100 and summed > 90
+
+
+def test_state_cap_bounds_a_state_s_summed_children():
+    # five classes of two rows at t = 20 have 403470 allocations and 99488
+    # children; a cap of one less raises at the children's dict, and a cap
+    # of 50 at the first partial dict of one total past it: the traced peak
+    # stays near 72 KB, where building the rest of the partials would take
+    # over 600 KB
+    vs, mus = [3, 7, 12, 18, 20], [2] * 5
+    got, allocations = exact._Moves(20, 4, 99488).children(vs, mus, 10 ** 9)
+    assert (len(got), allocations) == (99488, 403470)
+    with pytest.raises(ResourceLimitError) as err:
+        exact._Moves(20, 4, 99487).children(vs, mus, 10 ** 9)
+    assert (err.value.kind, err.value.limit, err.value.used) == ("states", 99487, 99488)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            exact._Moves(20, 4, 50).children(vs, mus, 10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.kind, err.value.limit, err.value.used) == ("states", 50, 51)
+    assert peak < 1 << 18
 
 
 def test_no_deficit_needs_a_lower_bound():
