@@ -12,11 +12,11 @@ Records go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 domain error (bad arguments, unbalanced margins, margins too large for a
 float method), 2 resource cap hit or out of memory.  A cap hit still writes
 the record, with error, kind, limit and used in place of the results.
-Exact counts are always emitted as full decimal strings; every stochastic
-record carries its seed.  JSON is the canonical format (sorted keys, Python
-repr floats, byte-stable on round-trip); CSV writes one header row and one
-value row, joining lists with ";" and leaving None empty; text is a
-human-oriented key/value or table layout.
+Exact counts are always emitted as full decimal strings, however long;
+every stochastic record carries its seed.  JSON is the canonical format
+(sorted keys, Python repr floats, byte-stable on round-trip); CSV writes one
+header row and one value row, joining lists with ";" and leaving None empty;
+text is a human-oriented key/value or table layout.
 """
 
 from __future__ import annotations
@@ -126,6 +126,22 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"contab: error: {err}", file=sys.stderr)
         return 1
+    # exact values may pass CPython's int-to-str digit limit (4300 by default,
+    # from 3.10.7 on); it is lifted only while this call runs, since callers
+    # may run main in-process
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    digits = limit() if limit else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+
+
+def _run(args) -> int:
+    """Run one parsed command: write its record and return the exit code."""
     try:
         if args.command == "ehrhart":
             spec, record = None, {"command": "ehrhart", "m": args.m, "n": args.n}

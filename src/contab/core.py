@@ -227,7 +227,8 @@ class EstimateInterval:
         lo, hi = self.low.log_value, self.high.log_value
         if lo == hi:
             return -math.inf
-        return hi + math.log1p(-math.exp(lo - hi)) - math.log(2.0)
+        # log(1 - e^(lo - hi)) by expm1: an exp that rounds to 1 would leave log(0)
+        return hi + math.log(-math.expm1(lo - hi)) - math.log(2.0)
 
     def scientific(self, digits: int = 4) -> str:
         """Rendering such as '(1.316 ± 0.217)e7'.

@@ -58,7 +58,8 @@ layer is an internal error, and the division is exact.
 
 Two rows (m <= n after the transpose) take a closed form instead: the
 first row, n entries in [0, t] summing to s, fixes the second, and
-inclusion exclusion over its entries above t counts it; no key is built.
+inclusion exclusion over its j <= s // (t + 1) entries above t counts it,
+every term and partial sum below 2^n C(s+n-1, n-1) < (2 (s + n))^n.
 
 Three rows take a closed double sum instead of the pass.  Write each column
 as (a, b, t - a - b); the third row then sums to n * t - 2 s = s by itself,
@@ -75,19 +76,20 @@ Q = 1 + z + ... + z^t.  Two rolling rows hold the powers: from Q^(n//2)
 outwards, Q^k falls by exact division by Q (times 1 - z, then over
 1 - z^(t+1)) and Q^(n-k) rises by windowed prefix sums, so each pair gives
 the terms of k and n - k.  (3,100,3,100) is MacMahon's magic-square count
-H_3(r) = (r+1)(r+2)(r^2+3r+4)/8 at r = 100, an independent check.  Both
-budgets are charged before anything is built: the coefficients held, the
-two rows, the one being built and the s + 1 binomials, each a list slot and
-an int below max(t+1, n+s)^n, against max_states * STATE_BYTES, and the
-coefficients built plus the terms summed against max_work; either over
-raises ResourceLimitError of that kind at once.
+H_3(r) = (r+1)(r+2)(r^2+3r+4)/8 at r = 100, an independent check; its
+coefficients and binomials are all below max(t+1, n+s)^n.
 
-Counts are exact Python ints throughout.  Two budgets bound the forward
-pass of four rows or more (the join adds no work): a cap on the states held
-in the layer being built, checked at each insert and on each dict of one
-total that a state sums, and a budget on column allocations, charged from
-the option-list lengths before the children they make are formed (per move
-for one class).  Either raises ResourceLimitError, never a wrong answer.
+Counts are exact Python ints throughout.  Two budgets bound every path;
+either raises ResourceLimitError, never a wrong answer.  The closed forms
+charge both before they build anything: the ints they hold (three rows: two
+rolling rows, the one being built and s + 1 binomials; two rows: a few),
+each a list slot and 28 bytes plus 4 per 30 bits, against max_states *
+STATE_BYTES, and their coefficients and terms (s // (t + 1) + 1 for two
+rows) against max_work.  The pass of four rows or more (the join adds no
+work) caps the states held in the layer being built, checked at each insert
+and on each dict of one total that a state sums, and charges column
+allocations from the option-list lengths before the children they make are
+formed (per move for one class).
 The state cap is the memory guard: it budgets STATE_BYTES, about a
 kilobyte, per state, the layer being expanded included, so the default
 2**20 keeps a pass near a gigabyte.  A held state costs its key,
@@ -139,8 +141,11 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     m, s, n, t = sp.m, sp.s, sp.n, sp.t
     if m == 1:
         return 1
-    if m == 2:
-        return _two_rows(s, n, t)
+    if m == 2:  # inclusion exclusion over the j entries of row 1 above t
+        _charge(spec, 4, n * (2 * (s + n)).bit_length(), s // (t + 1) + 1,
+                max_states, max_work)
+        return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
+                   for j in range(s // (t + 1) + 1))
     if m == 3:
         return _three_rows(spec, s, n, t, max_states, max_work)
     # stop with h columns left; mirror becomes the layer with n - h left
@@ -150,14 +155,12 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     b = m.bit_length()
     width = (b * (s + 1) + 7) // 8
     if width > STATE_BYTES:
-        raise ResourceLimitError(
-            f"state cap exhausted counting {spec}: a state key of {width} bytes "
-            f"exceeds the {STATE_BYTES} budgeted per state",
-            kind="states", limit=0, used=1)
+        raise _limit(spec, "states", 0, 1, f"a state key of {width} bytes exceeds "
+                     f"the {STATE_BYTES} budgeted per state")
 
     layer = {(m << b * s).to_bytes(width, "little"): 1}
     work = 0
-    memo = _Moves(t, b, max_states)
+    memo = _Moves(spec, t, b, max_states)
     for cols in range(n, h, -1):
         nxt: dict[bytes, int] = {}
         for key, ways in layer.items():
@@ -182,15 +185,12 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                 elif len(nxt) < max_states:
                     nxt[child] = ways * labelings
                 else:
-                    raise ResourceLimitError(
-                        f"state cap exhausted counting {spec}: "
-                        f"{len(nxt) + 1} states in one layer > {max_states}",
-                        kind="states", limit=max_states, used=len(nxt) + 1)
+                    raise _limit(spec, "states", max_states, len(nxt) + 1,
+                                 f"{len(nxt) + 1} states in one layer > {max_states}")
             if work > max_work:
-                raise ResourceLimitError(
-                    f"work budget exhausted counting {spec}: over {max_work} allocations "
-                    f"({len(nxt)} states in the layer being built)", kind="work",
-                    limit=max_work, used=max_work + 1)
+                raise _limit(spec, "work", max_work, max_work + 1,
+                             f"over {max_work} allocations ({len(nxt)} states in "
+                             f"the layer being built)")
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -226,24 +226,11 @@ def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
 
     h = n // 2
     # two rolling rows and the row being built, at most 2 (n t + 1)
-    # coefficients, and the binomials; each is a list slot and an int of 28
-    # bytes plus 4 per 30 bits, and every one is below max(t + 1, n + s) ** n
-    bits = n * max(t + 1, n + s).bit_length()
-    held = (2 * (n * t + 1) + s + 1) * (36 + 4 * (bits // 30))
-    states = -(-held // STATE_BYTES)
-    if states > max_states:
-        raise ResourceLimitError(
-            f"state cap exhausted counting {spec}: {held} bytes of coefficients "
-            f"> {max_states} states of {STATE_BYTES} bytes",
-            kind="states", limit=max_states, used=states)
-    work = (s + 1 + sum(i * t + 1 for i in range(1, n + 1))
-            + sum(i * t + 1 for i in range(h))
-            + sum(max(0, last - first + 1) for first, last in map(window, range(n + 1))))
-    if work > max_work:
-        raise ResourceLimitError(
-            f"work budget exhausted counting {spec}: {work} coefficients and "
-            f"terms > {max_work}",
-            kind="work", limit=max_work, used=work)
+    # coefficients, and the binomials, every one below max(t + 1, n + s) ** n
+    _charge(spec, 2 * (n * t + 1) + s + 1, n * max(t + 1, n + s).bit_length(),
+            s + 1 + sum(i * t + 1 for i in range(1, n + 1)) + sum(i * t + 1 for i in range(h))
+            + sum(max(0, last - first + 1) for first, last in map(window, range(n + 1))),
+            max_states, max_work)
 
     binoms = list(accumulate(range(1, s + 1), lambda c, j: c * (n - 1 + j) // j,
                              initial=1))
@@ -274,6 +261,23 @@ def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
     return total
 
 
+def _limit(spec: TableSpec, kind: str, limit: int, used: int, detail: str):
+    """The error of an exhausted budget, kind "states" or "work", naming the spec."""
+    budget = "state cap" if kind == "states" else "work budget"
+    return ResourceLimitError(f"{budget} exhausted counting {spec}: {detail}",
+                              kind=kind, limit=limit, used=used)
+
+
+def _charge(spec: TableSpec, ints: int, bits: int, work: int, max_states: int, max_work: int):
+    """Charge a closed form holding `ints` ints below 2**bits and doing `work`."""
+    held = ints * (36 + 4 * (bits // 30))  # a list slot and 28 bytes plus 4 per 30 bits
+    if -(-held // STATE_BYTES) > max_states:
+        raise _limit(spec, "states", max_states, -(-held // STATE_BYTES),
+                     f"{held} bytes of ints > {max_states} states of {STATE_BYTES} bytes")
+    if work > max_work:
+        raise _limit(spec, "work", max_work, work, f"{work} coefficients and terms > {max_work}")
+
+
 def _times_q(a: list[int], t: int) -> list[int]:
     """Coefficients of a(z) (1 + z + ... + z**t): prefix sums over a window of t + 1."""
     out = list(accumulate(chain(a, repeat(0, t))))
@@ -302,8 +306,8 @@ class _Moves:
     the entries stored, at most max_states, none evicted before the pass ends.
     """
 
-    def __init__(self, t: int, b: int, max_states: int):
-        self.t, self.b, self.max_states = t, b, max_states
+    def __init__(self, spec: TableSpec, t: int, b: int, max_states: int):
+        self.spec, self.t, self.b, self.max_states = spec, t, b, max_states
         self.options: dict[tuple, dict] = {}
         self.held = 0
 
@@ -341,8 +345,8 @@ class _Moves:
                             key += code
                             acc[key] = get(key, 0) + weight * lab
                     if len(acc) > cap:
-                        raise ResourceLimitError("state cap exhausted by one state's partials",
-                                                 kind="states", limit=cap, used=cap + 1)
+                        raise _limit(self.spec, "states", cap, cap + 1,
+                                     f"over {cap} partial children of one state")
             partials = {w: acc.items() for w, acc in folded.items()}
             counts = grown
         # the last two classes at once, the last taking the units left
@@ -372,8 +376,8 @@ class _Moves:
                         key += code
                         acc[key] = get(key, 0) + weight * lab
             if len(acc) > cap:
-                raise ResourceLimitError("state cap exhausted by one state's children",
-                                         kind="states", limit=cap, used=cap + 1)
+                raise _limit(self.spec, "states", cap, cap + 1,
+                             f"over {cap} children of one state")
         return acc, allocations
 
     def _build(self, table: dict, mu: int, hi: int, v: int, total: int) -> list:
@@ -487,9 +491,3 @@ def count_bruteforce(spec: TableSpec) -> int:
         return acc
 
     return place(0, (0,) * n)
-
-
-def _two_rows(s: int, n: int, t: int) -> int:
-    """Two rows: inclusion exclusion over the j entries of the first above t."""
-    return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
-               for j in range(s // (t + 1) + 1))

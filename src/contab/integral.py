@@ -114,21 +114,28 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
             kind="evals", limit=max_evals, used=used)
 
     x = -math.pi + TWO_PI * np.arange(p) / p
-    # one factor as a function of the two grid angles; with one row the
-    # contraction reads only theta = x_0, so a p x p table would be waste
-    g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x[:1] if m == 1 else x, x)))
-    w = np.exp(-1j * ((t * x) % TWO_PI))       # column phase
-    u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
-
-    # h(theta) = sum_b w_b prod_j g(theta_j + x_b); then
-    # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, which the
-    # diagonal rotation folds to p times its part with theta_1 = x_0
     row_axes = [chr(ord("a") + k) for k in range(m)]
-    h = np.einsum(",".join(f"{ax}z" for ax in row_axes) + ",z->" + "".join(row_axes),
-                  g[:1], *([g] * (m - 1)), w, optimize=True)
-    total = np.einsum(",".join(row_axes) + "," + "".join(row_axes) + "->",
-                      u[:1], *([u] * (m - 1)), h ** n, optimize=True)
-    return complex(p * total * (TWO_PI / p) ** (m + n))
+    # wide margins overflow the floats (1 + lam rounds to lam, h ** n passes
+    # 1e308), and the sum is then not finite; that is raised below, so
+    # numpy's warnings on the way would only add lines to stderr
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # one factor as a function of the two grid angles; with one row the
+        # contraction reads only theta = x_0, so a p x p table would be waste
+        g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x[:1] if m == 1 else x, x)))
+        w = np.exp(-1j * ((t * x) % TWO_PI))       # column phase
+        u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
+
+        # h(theta) = sum_b w_b prod_j g(theta_j + x_b); then
+        # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, which the
+        # diagonal rotation folds to p times its part with theta_1 = x_0
+        h = np.einsum(",".join(f"{ax}z" for ax in row_axes) + ",z->" + "".join(row_axes),
+                      g[:1], *([g] * (m - 1)), w, optimize=True)
+        total = np.einsum(",".join(row_axes) + "," + "".join(row_axes) + "->",
+                          u[:1], *([u] * (m - 1)), h ** n, optimize=True)
+        value = complex(p * total * (TWO_PI / p) ** (m + n))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OverflowError(f"the quadrature sum is {value}")
+    return value
 
 
 def reconstruct_count(spec: TableSpec, integral_value: complex) -> float:

@@ -229,6 +229,12 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
     per_budget = 16 * (t + 1)
     chunk = max(1, (_CHUNK_BYTES - per_budget * (s + 1)) // per_sample,
                 _CHUNK_BYTES // (per_sample + per_budget * m))
+    # numpy refuses an array past the address space with a ValueError, so one
+    # sample's arrays and the s + n log-gammas are sized first and reported
+    # out of memory; margins past the floats raise OverflowError here instead
+    needed = per_sample + 8.0 * (s + n)
+    if needed > np.iinfo(np.intp).max:
+        raise MemoryError(f"one sample needs {needed:.3g} bytes of arrays")
     # lg[k - 1] = log((k - 1)!) for k = 1..s+n; fromiter allocates all s+n
     # slots before it evaluates one, so a margin past memory fails at once
     lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float, count=s + n)

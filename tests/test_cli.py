@@ -54,6 +54,27 @@ def test_count_deep_sparse_shape():
     assert rec["value"] == str(math.factorial(200))
 
 
+_TWO_ROWS_LONG = ["2", "2500000000000", "500", "10000000000"]  # a 4989-digit count
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["count", *_TWO_ROWS_LONG], "value"),
+    (["delta", *_TWO_ROWS_LONG], "exact"),
+    (["compare", *_TWO_ROWS_LONG], "exact"),
+    (["decompose", "20000", "1", "1", "20000"], "placements"),
+    (["ehrhart", "3", "3", "--eval", "1" + "0" * 1100], "value"),
+])
+def test_values_past_the_int_str_limit_render(argv, field):
+    # CPython refuses int-to-str conversions past 4300 digits by default (from
+    # 3.10.7); main lifts that limit while it runs and puts it back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    value = json.loads(out)[field]
+    assert len(value) > 4300 and value.isdigit()
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_unbalanced_margins_diagnostic_and_exit_code():
     code, out, err = run("count", "2", "3", "3", "1")
     assert code == 1
@@ -171,6 +192,30 @@ def test_huge_margins_closed_form_entropy_does_not_cancel():
     closed = run_json("estimate", "2", big, "2", big, "--method", "thm1-closed")
     refined = run_json("estimate", "2", big, "2", big, "--method", "thm1")
     assert abs(closed["log10"] - refined["log10"]) < 1.0
+
+
+@pytest.mark.parametrize("command", [["estimate", "--method", "conj1"], ["compare"]])
+def test_bracket_narrower_than_a_float_step_renders(command):
+    # at (1,S,S,1) the bracket's ends differ by 2/(m+n) ~ 1e-17 in log, so
+    # exp(lo - hi) rounds to 1 and the half-width is the log of a tiny number
+    big = "213258126986527742"
+    code, out, err = run(command[0], "1", big, big, "1", *command[1:], "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["conj1" if command == ["compare"] else "value"].startswith("(1.000 ± ")
+
+
+@pytest.mark.parametrize("shape", [
+    ("2", "180367383875990326", "90183691937995163", "4"),     # h ** n overflows
+    ("515513617415916080", "1", "1", "515513617415916080"),   # the sum is nan
+    ("32", "23011019666813248", "2", "368176314669011968"),   # 1 + lam rounds to lam
+])
+def test_quadrature_overflow_is_a_domain_error(shape):
+    # wide margins overflow the quadrature's floats: a domain error, the only
+    # line on stderr (no numpy warning before it), never a nan record
+    code, out, err = run("verify-integral", *shape, "--grid", "64", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("contab: error: margins too large for floats: ")
+    assert err.count("\n") == 1
 
 
 def test_out_of_memory_exit_code_two(monkeypatch):
@@ -556,15 +601,19 @@ def test_pure_python_subcommands_run_without_numpy():
 
 
 def test_mc_huge_margins_exit_two():
-    # the sampler's log-gamma table of s + n values cannot be allocated; a
-    # subprocess with a timeout turns a per-value Python loop into a failure
+    # the sampler's log-gamma table of s + n values cannot be allocated; at
+    # the second shape its 8 (s + n) bytes, and at the third one sample's
+    # m * n uniforms, pass what numpy can address, which numpy reports as a
+    # ValueError.  A subprocess with a timeout turns a per-value Python loop
+    # into a failure
     big = str(10 ** 18)
-    proc = subprocess.run([sys.executable, "-m", "contab", "mc", "2", big, "2", big,
-                           "--samples", "10"],
-                          capture_output=True, text=True, timeout=60,
-                          env=_source_env())
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "contab: resource limit: out of memory\n"
+    for shape in (["2", big, "2", big], ["1", "1833749298490664978", "2", "916874649245332489"],
+                  ["551171031875312125", "1", "5", "110234206375062425"]):
+        proc = subprocess.run([sys.executable, "-m", "contab", "mc", *shape, "--samples", "10"],
+                              capture_output=True, text=True, timeout=60,
+                              env=_source_env())
+        assert proc.returncode == 2 and proc.stdout == "", shape
+        assert proc.stderr == "contab: resource limit: out of memory\n", shape
 
 
 def test_installed_console_script():

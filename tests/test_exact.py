@@ -316,7 +316,7 @@ def test_allocations_match_a_labeled_enumeration():
     stored = summed = several = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
-        memos = [exact._Moves(t, b, 10 ** 6) for _ in range(2)]
+        memos = [exact._Moves(make_spec(m, s, n, t), t, b, 10 ** 6) for _ in range(2)]
         memos[1].held = memos[1].max_states
         start = [s] * m
         children = {child for child, _ in _labeled_moves(start, t, (n - 1) * t, b)}
@@ -353,21 +353,23 @@ def test_state_cap_bounds_a_state_s_summed_children():
     # children; a cap of one less raises at the children's dict, and a cap
     # of 50 at the first partial dict of one total past it: the traced peak
     # stays near 72 KB, where building the rest of the partials would take
-    # over 600 KB
-    vs, mus = [3, 7, 12, 18, 20], [2] * 5
-    got, allocations = exact._Moves(20, 4, 99488).children(vs, mus, 10 ** 9)
+    # over 600 KB.  Both cap errors name the spec, as count_exact's own do
+    vs, mus, spec = [3, 7, 12, 18, 20], [2] * 5, make_spec(10, 20, 10, 20)
+    got, allocations = exact._Moves(spec, 20, 4, 99488).children(vs, mus, 10 ** 9)
     assert (len(got), allocations) == (99488, 403470)
     with pytest.raises(ResourceLimitError) as err:
-        exact._Moves(20, 4, 99487).children(vs, mus, 10 ** 9)
+        exact._Moves(spec, 20, 4, 99487).children(vs, mus, 10 ** 9)
     assert (err.value.kind, err.value.limit, err.value.used) == ("states", 99487, 99488)
+    assert str(err.value).startswith(f"state cap exhausted counting {spec}: ")
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as err:
-            exact._Moves(20, 4, 50).children(vs, mus, 10 ** 9)
+            exact._Moves(spec, 20, 4, 50).children(vs, mus, 10 ** 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (err.value.kind, err.value.limit, err.value.used) == ("states", 50, 51)
+    assert str(err.value).startswith(f"state cap exhausted counting {spec}: ")
     assert peak < 1 << 18
 
 
@@ -467,7 +469,11 @@ def test_three_row_closed_form_against_oracles():
 def test_three_row_caps_are_charged_up_front():
     # the closed form charges every coefficient and term before it builds
     # any: (3,1500,450,10) needs 1463517 units of work and (3,10**7,3,10**7)
-    # three gigabytes of coefficients, so both stop at once
+    # three gigabytes of coefficients, so both stop at once.  Two rows charge
+    # too: (10000,2,2,10000) sums 3334 terms of ints below 2**160000 (84
+    # states), and counting it takes seconds, so either cap at zero must
+    # stop it before the first term
+    two = make_spec(10000, 2, 2, 10000)
     tracemalloc.start()
     started = time.perf_counter()
     try:
@@ -475,6 +481,10 @@ def test_three_row_caps_are_charged_up_front():
             count_exact(make_spec(3, 1500, 450, 10), max_work=10 ** 5)
         with pytest.raises(ResourceLimitError) as states:
             count_exact(make_spec(3, 10 ** 7, 3, 10 ** 7))
+        with pytest.raises(ResourceLimitError) as two_work:
+            count_exact(two, max_work=0)
+        with pytest.raises(ResourceLimitError) as two_states:
+            count_exact(two, max_states=0)
         elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -482,6 +492,11 @@ def test_three_row_caps_are_charged_up_front():
     assert (work.value.kind, work.value.limit, work.value.used) == ("work", 10 ** 5, 1463517)
     assert (states.value.kind, states.value.limit) == ("states", exact.DEFAULT_MAX_STATES)
     assert states.value.used > exact.DEFAULT_MAX_STATES
+    assert (two_work.value.kind, two_work.value.limit, two_work.value.used) == ("work", 0, 3334)
+    assert (two_states.value.kind, two_states.value.limit, two_states.value.used) == \
+        ("states", 0, 84)
+    assert str(two_work.value).startswith(f"work budget exhausted counting {two}: ")
+    assert str(two_states.value).startswith(f"state cap exhausted counting {two}: ")
     assert elapsed < 1
     assert peak < 1 << 20
 
