@@ -59,7 +59,7 @@ layer is an internal error, and the division is exact.
 Two rows (m <= n after the transpose) take a closed form instead: the
 first row, n entries in [0, t] summing to s, fixes the second, and
 inclusion exclusion over its j <= s // (t + 1) entries above t counts it,
-every term and partial sum below 2^n C(s+n-1, n-1) < (2 (s + n))^n.
+every term and partial sum below 2^n C(s+n-1, n-1) < min((2 (s+n))^n, 2^(s+2n)).
 
 Three rows take a closed double sum instead of the pass.  Write each column
 as (a, b, t - a - b); the third row then sums to n * t - 2 s = s by itself,
@@ -84,12 +84,12 @@ either raises ResourceLimitError, never a wrong answer.  The closed forms
 charge both before they build anything: the ints they hold (three rows: two
 rolling rows, the one being built and s + 1 binomials; two rows: a few),
 each a list slot and 28 bytes plus 4 per 30 bits, against max_states *
-STATE_BYTES, and their coefficients and terms (s // (t + 1) + 1 for two
-rows) against max_work.  The pass of four rows or more (the join adds no
-work) caps the states held in the layer being built, checked at each insert
-and on each dict of one total that a state sums, and charges column
-allocations from the option-list lengths before the children they make are
-formed (per move for one class).
+STATE_BYTES, and their coefficients and terms against max_work, a two-row
+term at n units, as its comb calls take up to n big-int steps each.  The
+pass of four rows or more (the join adds no work) caps the states held in
+the layer being built, checked at each insert and on each dict of one total
+that a state sums, and charges column allocations from the option-list
+lengths before the children they make are formed (per move for one class).
 The state cap is the memory guard: it budgets STATE_BYTES, about a
 kilobyte, per state, the layer being expanded included, so the default
 2**20 keeps a pass near a gigabyte.  A held state costs its key,
@@ -142,8 +142,8 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     if m == 1:
         return 1
     if m == 2:  # inclusion exclusion over the j entries of row 1 above t
-        _charge(spec, 4, n * (2 * (s + n)).bit_length(), s // (t + 1) + 1,
-                max_states, max_work)
+        _charge(spec, 4, min(n * (2 * (s + n)).bit_length(), s + 2 * n),
+                [(s // (t + 1) + 1) * n], max_states, max_work)
         return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
                    for j in range(s // (t + 1) + 1))
     if m == 3:
@@ -228,8 +228,8 @@ def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
     # two rolling rows and the row being built, at most 2 (n t + 1)
     # coefficients, and the binomials, every one below max(t + 1, n + s) ** n
     _charge(spec, 2 * (n * t + 1) + s + 1, n * max(t + 1, n + s).bit_length(),
-            s + 1 + sum(i * t + 1 for i in range(1, n + 1)) + sum(i * t + 1 for i in range(h))
-            + sum(max(0, last - first + 1) for first, last in map(window, range(n + 1))),
+            chain((s + 1,), (i * t + 1 for i in range(1, n + 1)), (i * t + 1 for i in range(h)),
+                  (max(0, last - first + 1) for first, last in map(window, range(n + 1)))),
             max_states, max_work)
 
     binoms = list(accumulate(range(1, s + 1), lambda c, j: c * (n - 1 + j) // j,
@@ -268,14 +268,15 @@ def _limit(spec: TableSpec, kind: str, limit: int, used: int, detail: str):
                               kind=kind, limit=limit, used=used)
 
 
-def _charge(spec: TableSpec, ints: int, bits: int, work: int, max_states: int, max_work: int):
-    """Charge a closed form holding `ints` ints below 2**bits and doing `work`."""
+def _charge(spec: TableSpec, ints: int, bits: int, work, max_states: int, max_work: int):
+    """Charge a closed form holding `ints` ints below 2**bits and doing sum(work)."""
     held = ints * (36 + 4 * (bits // 30))  # a list slot and 28 bytes plus 4 per 30 bits
     if -(-held // STATE_BYTES) > max_states:
         raise _limit(spec, "states", max_states, -(-held // STATE_BYTES),
                      f"{held} bytes of ints > {max_states} states of {STATE_BYTES} bytes")
+    work = sum(work)  # only once the ints fit: a lazy sum may take O(n) steps
     if work > max_work:
-        raise _limit(spec, "work", max_work, work, f"{work} coefficients and terms > {max_work}")
+        raise _limit(spec, "work", max_work, work, f"{work} units of work > {max_work}")
 
 
 def _times_q(a: list[int], t: int) -> list[int]:

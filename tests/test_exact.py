@@ -470,9 +470,11 @@ def test_three_row_caps_are_charged_up_front():
     # the closed form charges every coefficient and term before it builds
     # any: (3,1500,450,10) needs 1463517 units of work and (3,10**7,3,10**7)
     # three gigabytes of coefficients, so both stop at once.  Two rows charge
-    # too: (10000,2,2,10000) sums 3334 terms of ints below 2**160000 (84
-    # states), and counting it takes seconds, so either cap at zero must
-    # stop it before the first term
+    # too: (10000,2,2,10000) sums 3334 terms of 10000 units each, of ints
+    # below 2**30000 (16 states), and counting it takes seconds, so either
+    # cap at zero must stop it before the first term.  The work of
+    # (3,10**6,3*10**6,1) takes O(n) steps to add up, so its held ints are
+    # checked first and stop it at once
     two = make_spec(10000, 2, 2, 10000)
     tracemalloc.start()
     started = time.perf_counter()
@@ -481,6 +483,8 @@ def test_three_row_caps_are_charged_up_front():
             count_exact(make_spec(3, 1500, 450, 10), max_work=10 ** 5)
         with pytest.raises(ResourceLimitError) as states:
             count_exact(make_spec(3, 10 ** 7, 3, 10 ** 7))
+        with pytest.raises(ResourceLimitError) as wide:
+            count_exact(make_spec(3, 10 ** 6, 3 * 10 ** 6, 1), max_states=10 ** 9)
         with pytest.raises(ResourceLimitError) as two_work:
             count_exact(two, max_work=0)
         with pytest.raises(ResourceLimitError) as two_states:
@@ -492,9 +496,11 @@ def test_three_row_caps_are_charged_up_front():
     assert (work.value.kind, work.value.limit, work.value.used) == ("work", 10 ** 5, 1463517)
     assert (states.value.kind, states.value.limit) == ("states", exact.DEFAULT_MAX_STATES)
     assert states.value.used > exact.DEFAULT_MAX_STATES
-    assert (two_work.value.kind, two_work.value.limit, two_work.value.used) == ("work", 0, 3334)
+    assert (wide.value.kind, wide.value.limit) == ("states", 10 ** 9)
+    assert (two_work.value.kind, two_work.value.limit, two_work.value.used) == \
+        ("work", 0, 33340000)
     assert (two_states.value.kind, two_states.value.limit, two_states.value.used) == \
-        ("states", 0, 84)
+        ("states", 0, 16)
     assert str(two_work.value).startswith(f"work budget exhausted counting {two}: ")
     assert str(two_states.value).startswith(f"state cap exhausted counting {two}: ")
     assert elapsed < 1
