@@ -203,6 +203,12 @@ def _estimate(args, spec) -> dict:
 
 
 def _decompose(args, spec) -> dict:
+    # the three binomials are below 2**bits and take up to `low` steps of comb
+    # each; the fractions and the reassembly check hold products of up to
+    # three of them
+    low = min(spec.m * spec.n, spec.total)
+    bits = low * (spec.m * spec.n + spec.total).bit_length()
+    exact._charge(spec, 12, 3 * bits, [3 * low], args.max_states, args.max_work)
     count = _exact(args, spec)
     dec = estimators.independence_decomposition(spec, count)
     return {"exact": str(count), "placements": str(dec.n_placements),
@@ -262,7 +268,7 @@ def _verify_integral(args, spec) -> dict:
     if args.bounds:
         env = integral.envelope_check(spec.density, seed=args.m)
         peak = integral.peak_integral_check(spec.density)
-        fields.update(envelope_violations=env.violations,
+        fields.update(seed=args.m, envelope_violations=env.violations,
                       envelope_max_slack=env.max_slack,
                       peak_ratio=peak.ratio, peak_within_bound=peak.within_bound)
     return fields

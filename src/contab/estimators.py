@@ -68,7 +68,13 @@ def refined_estimate(spec: TableSpec) -> LogEstimate:
 
 
 def closed_form_estimate(spec: TableSpec) -> LogEstimate:
-    """Fully expanded second-order form (CLI method token: thm1-closed)."""
+    """Fully expanded second-order form (CLI method token: thm1-closed).
+
+    Its correction is an expansion in m/n + n/m, so it tracks refined_estimate
+    only while m and n grow together; with one side held small it drifts away
+    without bound: (1,1000,1000,1) gives 2.429e-2, where thm1 gives 1.649 and
+    the count is 1.
+    """
     lam = spec.positive_density()
     a = gaussian_coeff(lam)
     m, n = spec.m, spec.n

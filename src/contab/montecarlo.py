@@ -30,19 +30,19 @@ unbiased estimate of the count.  The weights are accumulated in log space
 since the counts of interest reach 1e127, but the lookahead is linear and
 scaled: row i's entry weights are kept as the ratios
 C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
-and each convolution is rescaled to a per-sample maximum of 1.  The ratios
-are read per column from one table of log-gamma values, lgamma(1..s+n),
-built once per call, only for the budgets r_i present in the chunk, into a
-table of (t+1) x (budgets present) values that counts against the chunk's
-byte budget, so besides the chunk's own arrays only vectors of length s + t
-or s + n grow with the margins.  That table is gathered along its budget
-axis into the column's entry weights, a C-contiguous (t+1) x m x samples
-array, so the lookahead and the draw read each sample's value next to the
-next sample's.  A factor that is constant
-for a sample cancels from every conditional, so only the draw's
-log z - log p(x) leaves linear space.
-The last row of a column and the whole last column are forced and cost no
-draw.  In the first column every row of every sample has budget s, so that
+and each convolution is rescaled to a per-sample maximum of 1.  Each ratio
+is the running product over x of the steps (r_i - x + 1) / (r_i - x + nl),
+each a quotient of exact integers.  The ratios are computed per column, only
+for the budgets r_i present in the chunk, into a table of
+(t+1) x (budgets present) values that counts against the chunk's byte
+budget, so besides the chunk's own arrays only the budget index, of length
+s + 1, grows with the margins.  That table is gathered along its budget axis
+into the column's entry weights, a C-contiguous (t+1) x m x samples array,
+so the lookahead and the draw read each sample's value next to the next
+sample's.  A factor that is constant for a sample cancels from every
+conditional, so only the draw's log z - log p(x) leaves linear space.  The
+last row of a column and the whole last column are forced and cost no draw.
+In the first column every row of every sample has budget s, so that
 column's entry weights and lookahead are computed once, in one sample's
 lane, and broadcast to the chunk.
 
@@ -223,30 +223,28 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
     # padded lookahead (m - 1 rows of t+2), the uniforms, the budgets and
     # their gathered ratio slots (m each), and the draw's (t+1)-row temporaries
     per_sample = 8 * (m * (t + 1) + (m - 1) * (t + 2) + m * n + 2 * m + 6 * (t + 1))
-    # each column's ratio table and its index array: 16 bytes for each of
-    # (t+1) x (budgets present), and at most s+1 and at most m*chunk budgets
-    # are present; either bound gives a chunk that fits, take the larger
-    per_budget = 16 * (t + 1)
+    # each column's ratio table, the two integer grids it is divided from and
+    # their mask: 25 bytes for each of (t+1) x (budgets present), and at most
+    # s+1 and at most m*chunk budgets are present; either bound gives a chunk
+    # that fits, take the larger
+    per_budget = 25 * (t + 1)
     chunk = max(1, (_CHUNK_BYTES - per_budget * (s + 1)) // per_sample,
                 _CHUNK_BYTES // (per_sample + per_budget * m))
     # numpy refuses an array past the address space with a ValueError, so one
-    # sample's arrays and the s + n log-gammas are sized first and reported
-    # out of memory; margins past the floats raise OverflowError here instead
-    needed = per_sample + 8.0 * (s + n)
+    # sample's arrays are sized first and reported out of memory; margins
+    # past the floats raise OverflowError here instead
+    needed = float(per_sample)
     if needed > np.iinfo(np.intp).max:
         raise MemoryError(f"one sample needs {needed:.3g} bytes of arrays")
-    # lg[k - 1] = log((k - 1)!) for k = 1..s+n; fromiter allocates all s+n
-    # slots before it evaluates one, so a margin past memory fails at once
-    lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float, count=s + n)
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)
         tables = np.zeros((size, m, n), dtype=np.int64) if want_tables else None
         # consecutive blocks continue one stream: row i is always sample i's;
         # passed straight in, so no chunk's uniforms outlive its call
-        yield _sample_chunk(m, s, n, t, lg, rng.random((size, m * n)), tables), tables
+        yield _sample_chunk(m, s, n, t, rng.random((size, m * n)), tables), tables
 
 
-def _entry_weights(budgets, nl: int, t: int, lg):
+def _entry_weights(budgets, nl: int, t: int):
     """Scaled entry weights a[x, i, k] of rows with budgets u = budgets[i, k].
 
     a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
@@ -257,23 +255,21 @@ def _entry_weights(budgets, nl: int, t: int, lg):
     """
     import numpy as np
     top = int(budgets.max())
-    # log_spread[t + v] = log C(v + nl - 1, nl - 1) up to a constant; -inf
-    # for v < 0, where the count is 0
-    log_spread = np.full(t + top + 1, -np.inf)
-    log_spread[t:] = lg[nl - 1:top + nl] - lg[:top + 1]
-    # ratio[x, slot[u]] = spread(u - x) / spread(u) for each budget u present;
-    # it and the index array are the only (t+1)-row arrays added to the chunk's
     present = np.zeros(top + 1, dtype=bool)
     present[budgets] = True
     slot = np.cumsum(present) - 1
-    u = np.flatnonzero(present) + t
-    ratio = log_spread.take(u - np.arange(min(t, top) + 1)[:, None])
-    ratio -= log_spread[u]
-    np.exp(ratio, out=ratio)
+    # ratio[x, slot[u]] is the product over y = 1..x of the step
+    # C(u - y + nl - 1, nl - 1) / C(u - y + nl, nl - 1) = left / (left + nl - 1)
+    # with left = u - y + 1; the step is 0 at y = u + 1, so is every ratio past
+    left = np.flatnonzero(present) - np.arange(min(t, top))[:, None]
+    ratio = np.zeros((left.shape[0] + 1, left.shape[1]))
+    ratio[0] = 1.0
+    np.divide(left, left + (nl - 1), out=ratio[1:], where=left > 0)
+    np.multiply.accumulate(ratio, axis=0, out=ratio)
     return ratio.take(slot[budgets], axis=1)
 
 
-def _sample_chunk(m, s, n, t, lg, uniforms, tables):
+def _sample_chunk(m, s, n, t, uniforms, tables):
     """Log weights of one chunk of samples, filled column by column.
 
     Arrays are C-contiguous with the sample axis last, so every step below
@@ -297,7 +293,7 @@ def _sample_chunk(m, s, n, t, lg, uniforms, tables):
         # the samples whose weights differ: one lane in column 0, all later
         lanes = budgets[:, :1] if j == 0 else budgets
         k = lanes.shape[1]
-        a = _entry_weights(lanes, n - 1 - j, t, lg)   # a[x, i, lane]
+        a = _entry_weights(lanes, n - 1 - j, t)   # a[x, i, lane]
         # the last row absorbs v alone (an empty slice when m = 1); rows above
         # convolve in their weights
         look[-1:, :, :k] = 0.0

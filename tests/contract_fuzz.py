@@ -47,10 +47,9 @@ TIMEOUT_S = 2.0
 MEMORY_MB = 2048
 # a run that skips a larger share of its calls as slow checked too little to
 # pass, so a change that slows calls cannot turn breaks into skips: seed 0 at
-# 300 cases skips 8 (hangs of decompose on margins near 10**18, large
-# ehrhart and mc runs) on a 2-vCPU x86_64 VM, where 2 more calls take 0.6
-# and 1.2 s, so 10 leaves room for a slower machine; seeds 1-5 skip 7 to
-# 16, and seeds 2 and 3 (15-16 and 11) fail on this bound alone
+# 300 cases skips 4 (large ehrhart and mc runs) on a 2-vCPU x86_64 VM, so
+# 10 leaves room for a slower machine; seeds 1-5 skip 5 to 13, and seed 2
+# (13) fails on this bound alone
 MAX_SLOW_SHARE = 1 / 30
 # CPython's int-to-str digit limit (from 3.10.7 on; 0 means none), which
 # cli.main lifts while it runs and must put back

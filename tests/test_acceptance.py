@@ -2,12 +2,12 @@
 
 Each test checks one numbered criterion at its stated tolerance and appends a
 PASS/FAIL line to RESULTS; conftest.py re-prints the collected lines after the
-run. Set CONTAB_STRETCH=1 to give the stretch exact count its full default
-work budget instead of the abbreviated one used for quick runs.
+run. The stretch exact count (10,20,10,20) runs under an abbreviated work
+budget; the full default budget also ends in a reported work cap, only tens
+of minutes later, so either way Monte Carlo stands in for that one count.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -46,7 +46,6 @@ TABLE_BRACKET = ["(1.316 ± 0.217)e7", "(1.017 ± 0.020)e68",
                  "(8.065 ± 0.224)e127", "(2.242 ± 0.037)e92"]
 TABLE_EXACT6 = [None, (101100, 68), (279207, 21), (109747, 59), None, (222931, 92)]
 
-STRETCH = os.environ.get("CONTAB_STRETCH", "") == "1"
 STRETCH_TARGET = 1.09747e59
 
 
@@ -112,10 +111,9 @@ def test_criterion_1_exact_counts_match_printed_table():
 def test_criterion_2_stretch_exact_or_reported_cap(stretch_mc):
     def body():
         spec = make_spec(10, 20, 10, 20)
-        budget = {} if STRETCH else {"max_work": 1_000_000}
         t0 = time.perf_counter()
         try:
-            count = count_exact(spec, **budget)
+            count = count_exact(spec, max_work=1_000_000)
         except ResourceLimitError as cap:
             elapsed = time.perf_counter() - t0
             est, _ = stretch_mc

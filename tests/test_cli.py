@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -400,6 +402,11 @@ def test_verify_integral_bounds_section():
     assert rec["envelope_violations"] == 0
     assert rec["peak_within_bound"] is True
     assert 0 < rec["envelope_max_slack"] < 1e-6
+    # the envelope's random points are drawn at seed m, which the record names
+    env = integral.envelope_check(contab.make_spec(2, 1, 2, 1).density, seed=rec["seed"])
+    assert rec["seed"] == 2
+    assert (rec["envelope_violations"], rec["envelope_max_slack"]) == (
+        env.violations, env.max_slack)
 
 
 def test_verify_integral_dimension_and_eval_caps():
@@ -492,7 +499,7 @@ _FIELD_CASES = [
       "h_vector", "leading"}),
     (["verify-integral", "2", "2", "2", "2", "--grid", "8"], _SPEC | _INTEGRAL),
     (["verify-integral", "2", "1", "2", "1", "--grid", "8", "--bounds"],
-     _SPEC | _INTEGRAL | {"envelope_violations", "envelope_max_slack",
+     _SPEC | _INTEGRAL | {"seed", "envelope_violations", "envelope_max_slack",
                           "peak_ratio", "peak_within_bound"}),
     (["check-hypothesis", "2", "2", "2", "2"],
      _SPEC | {"lhs", "lhs_float", "min_coefficient"}),
@@ -601,11 +608,10 @@ def test_pure_python_subcommands_run_without_numpy():
 
 
 def test_mc_huge_margins_exit_two():
-    # the sampler's log-gamma table of s + n values cannot be allocated; at
-    # the second shape its 8 (s + n) bytes, and at the third one sample's
-    # m * n uniforms, pass what numpy can address, which numpy reports as a
-    # ValueError.  A subprocess with a timeout turns a per-value Python loop
-    # into a failure
+    # one sample's arrays pass what numpy can address, which numpy reports as
+    # a ValueError: its rows of t + 1 entry weights at the first two shapes
+    # and its m * n uniforms at the third.  A subprocess with a timeout turns
+    # a per-value Python loop into a failure
     big = str(10 ** 18)
     for shape in (["2", big, "2", big], ["1", "1833749298490664978", "2", "916874649245332489"],
                   ["551171031875312125", "1", "5", "110234206375062425"]):
@@ -614,6 +620,47 @@ def test_mc_huge_margins_exit_two():
                               env=_source_env())
         assert proc.returncode == 2 and proc.stdout == "", shape
         assert proc.stderr == "contab: resource limit: out of memory\n", shape
+
+
+def _limited_address_space():
+    # run in the child only: 2 GiB of address space, as the contract fuzzer
+    # gives itself
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "2", "205517250", "20", "20551725", "--mc-samples", "2"],
+    ["mc", "3352", "70732200", "35", "6774123840", "--samples", "2"],
+])
+def test_sampler_runs_out_of_memory_promptly(argv):
+    # nothing of length s + n is built before the first chunk, so under 2 GiB
+    # these fail at their first arrays, well within the fuzzer's 2 s alarm
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "contab", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env(), preexec_fn=_limited_address_space)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == "contab: resource limit: out of memory\n"
+    assert elapsed < 5, elapsed
+
+
+@pytest.mark.parametrize("quad", [
+    ["1", "563615086989148859", "563615086989148859", "1"],
+    ["464787076620854593", "1", "1", "464787076620854593"],
+])
+def test_decompose_charges_its_binomials(quad):
+    # C(mn + T - 1, T) has about T * 60 bits here, so it is refused under the
+    # state cap before comb starts, which would not return.  A subprocess,
+    # since a C call cannot be interrupted in-process
+    proc = subprocess.run([sys.executable, "-m", "contab", "decompose", *quad,
+                           "--format", "json"],
+                          capture_output=True, text=True, timeout=30, env=_source_env())
+    assert proc.returncode == 2, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert (rec["error"], rec["kind"], rec["limit"]) == (
+        "resource_limit", "states", exact.DEFAULT_MAX_STATES)
+    assert rec["used"] > rec["limit"]
 
 
 def test_installed_console_script():

@@ -261,20 +261,22 @@ def test_log_weight_matches_enumerated_probability():
 
 def test_entry_weights_are_spread_count_ratios():
     # a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
-    # budget u = budgets[i, k], and 0 past the budget
+    # budget u = budgets[i, k], and 0 past the budget; on the wide budgets
+    # the running product over up to 3000 steps must stay within 1e-13
     top = 12
-    lg = np.fromiter(map(math.lgamma, range(1, top + 8)), float)
-    budgets = np.array([range(top + 1), range(top, -1, -1)])
-    for t in (4, 15):
-        for nl in range(1, 8):
-            a = montecarlo._entry_weights(budgets, nl, t, lg)
-            assert a.flags.c_contiguous
-            assert a.shape == (min(t, top) + 1,) + budgets.shape
-            for (x, i, k), got in np.ndenumerate(a):
-                u = int(budgets[i, k])
-                want = (math.comb(u - x + nl - 1, nl - 1) / math.comb(u + nl - 1, nl - 1)
-                        if x <= u else 0.0)
-                assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13), (t, nl, u, x)
+    small = np.array([range(top + 1), range(top, -1, -1)])
+    wide = np.array([[0, 1, 49, 50, 51, 999, 2999, 3000]])
+    cases = [(small, t, nl) for t in (4, 15) for nl in range(1, 8)]
+    cases += [(wide, t, nl) for t in (50, 3000) for nl in (2, 5, 40)]
+    for budgets, t, nl in cases:
+        a = montecarlo._entry_weights(budgets, nl, t)
+        assert a.flags.c_contiguous
+        assert a.shape == (min(t, int(budgets.max())) + 1,) + budgets.shape
+        for (x, i, k), got in np.ndenumerate(a):
+            u = int(budgets[i, k])
+            want = (math.comb(u - x + nl - 1, nl - 1) / math.comb(u + nl - 1, nl - 1)
+                    if x <= u else 0.0)
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (t, nl, u, x)
 
 
 def test_zero_uniform_draws_a_feasible_entry():
@@ -283,9 +285,8 @@ def test_zero_uniform_draws_a_feasible_entry():
     for quad in [(3, 2, 2, 3), (3, 4, 3, 4), (4, 3, 3, 4), (2, 6, 4, 3)]:
         spec = make_spec(*quad)
         m, s, n, t = quad
-        lg = np.fromiter(map(math.lgamma, range(1, s + n + 1)), float)
         tables = np.zeros((1, m, n), dtype=np.int64)
-        logw = montecarlo._sample_chunk(m, s, n, t, lg, np.zeros((1, m * n)), tables)
+        logw = montecarlo._sample_chunk(m, s, n, t, np.zeros((1, m * n)), tables)
         table = tuple(tuple(int(v) for v in row) for row in tables[0])
         q = dict(enumerate_proposal(spec))[table]
         assert math.isclose(logw[0], -math.log(q), rel_tol=1e-12, abs_tol=1e-12), quad
