@@ -53,18 +53,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_in(low: int, high: float = math.inf):
+    """An argparse int type that refuses values outside low..high before any work."""
+    bounds = "nonnegative" if (low, high) == (0, math.inf) else f"in {low}..{high}"
+
+    def parse(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    parse.__name__ = "int"  # so a non-int still reads "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # flag groups; a subcommand takes only the groups its handler reads
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", help="output rendering (default text)")
     digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+    # a double carries at most 17 significant digits
+    digits.add_argument("--digits", type=_int_in(1, 17), default=DEFAULT_DIGITS,
                         help="significant digits for scientific renderings")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--max-states", default=exact.DEFAULT_MAX_STATES, type=int,
+    caps.add_argument("--max-states", default=exact.DEFAULT_MAX_STATES, type=_int_in(0),
                       help="state cap for exact counting")
-    caps.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=int,
+    caps.add_argument("--max-work", default=exact.DEFAULT_MAX_WORK, type=_int_in(0),
                       help="work budget for exact counting: column allocations")
     shape = argparse.ArgumentParser(add_help=False)
     for name in ("m", "s", "n", "t"):
@@ -98,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lattice-point polynomial of the margin polytope")
     for name in ("m", "n"):
         p.add_argument(name, type=int)
-    p.add_argument("--eval", dest="eval_at", type=int, default=None,
+    p.add_argument("--eval", dest="eval_at", type=_int_in(0), default=None,
                    metavar="Q", help="also evaluate the polynomial at Q")
 
     p = add("verify-integral", "reconstruct the count from the torus integral", caps)
-    p.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=int,
+    p.add_argument("--max-evals", default=integral.DEFAULT_MAX_EVALS, type=_int_in(0),
                    help="quadrature budget: grid^min(m, n) terms summed")
     p.add_argument("--grid", type=int, required=True, help="points per dimension")
     p.add_argument("--bounds", action="store_true",

@@ -414,11 +414,9 @@ def _class_options(mu: int, hi: int, fin: bool, total: int, b: int, low: int = 0
             kmin = rem - rows * (x - 1)
             if kmin > rows:
                 break
-            kmax = rem // x
+            kmax = rem // x  # <= rows: kmin <= rows means rem <= rows * x
             if kmin < 1:
                 kmin = 1
-            if kmax > rows:
-                kmax = rows
             shift = low + b * (hi - x)
             for k in range(kmin, kmax + 1):
                 child = code + (k << shift) if x < hi or not fin else code

@@ -11,16 +11,16 @@ the count M(m, s; n, t) equals
 
 integral_numeric evaluates I by the tensor-product trapezoid rule, which is
 spectrally accurate here because the integrand is analytic and periodic.
-The integrand factors through the pairwise angle sums, so summing out the
-column angles leaves a function h of the m row angles.  Because ms = nt the
-integrand is unchanged by theta_j -> theta_j + a, phi_k -> phi_k - a, and a
-shift by one grid step maps the grid onto itself, so the sum is p times its
-part with the first row angle fixed at the first grid point.  With p points
-per dimension (and m the smaller side, after a transpose if needed) h holds
-p^(m-1) values, each a sum of p terms, so the evaluation budget counts those
-p^m terms: the work the contraction does.  The traced peak is at most 32
-bytes per term at m >= 2 and 72 bytes at m = 1, so the default budget of
-2^23 terms peaks below 0.6 GiB.
+Because ms = nt the integrand is unchanged by theta_j -> theta_j + a,
+phi_k -> phi_k - a, and a shift by one grid step maps the grid onto itself,
+so the sum is p times its part with the first row angle at the first grid
+point.  With p points per dimension and m the smaller side (after a
+transpose), summing out the column angles leaves h of the other m - 1 row
+angles, a chain of matrix products that adds one row angle each; h^n is then
+summed against the row phases.  The budget counts the p^m terms summed and is
+the only bound on m.  The traced peak is 32 bytes per term at m = 2, less at
+m >= 3, and 72 bytes at m = 1 (plus about 6 MiB at some p), so the default
+budget of 2^23 terms peaks below 0.6 GiB.
 
 The modulus of the integrand splits as prod f(theta_j + phi_k) with
 f(z) = (1 + 4A(1 - cos z))^-1/2 and A = lam(1+lam)/2.  envelope_check
@@ -93,7 +93,8 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     """Trapezoid value of I on a uniform (points_per_dim)^(m+n) grid.
 
     max_evals caps the terms the contraction sums, p^m with p points per
-    dimension and m the smaller side; past it ResourceLimitError reports p^m.
+    dimension and m the smaller side; past it ResourceLimitError reports p^m,
+    or max_evals + 1 where p^m has over 2L + 64 bits, L those of max_evals.
     """
     import numpy as np
     lam = float(spec.positive_density())
@@ -104,35 +105,34 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     sp = spec if spec.m <= spec.n else spec.transpose()
     m, s, n, t = sp.m, sp.s, sp.n, sp.t
     p = points_per_dim
-    # the einsums name one subscript per row angle, a..y, and z for the column
-    if m >= 26:
-        raise InvalidSpecError(f"torus quadrature needs min(m, n) <= 25, got {m}")
-    used = p ** m
+    # p ** m would not finish for m near 10^18; past 2L + 64 bits, L those of
+    # max_evals, it is over the budget anyway (p >= 2), and used says only that
+    used = p ** m if m * p.bit_length() <= 2 * max_evals.bit_length() + 64 else max_evals + 1
     if used > max_evals:
         raise ResourceLimitError(
-            f"quadrature budget exceeded: {p}^{m} = {used} terms > {max_evals}",
+            f"quadrature budget exceeded: {p}^{m} terms > {max_evals}",
             kind="evals", limit=max_evals, used=used)
 
     x = -math.pi + TWO_PI * np.arange(p) / p
-    row_axes = [chr(ord("a") + k) for k in range(m)]
     # wide margins overflow the floats (1 + lam rounds to lam, h ** n passes
     # 1e308), and the sum is then not finite; that is raised below, so
     # numpy's warnings on the way would only add lines to stderr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # one factor as a function of the two grid angles; with one row the
-        # contraction reads only theta = x_0, so a p x p table would be waste
+        # one factor g(theta + phi) on the grid; one row reads only theta = x_0
         g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x[:1] if m == 1 else x, x)))
         w = np.exp(-1j * ((t * x) % TWO_PI))       # column phase
         u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
-
-        # h(theta) = sum_b w_b prod_j g(theta_j + x_b); then
+        # h(theta) = sum_b w_b prod_j g(theta_j + x_b) with theta_1 = x_0
+        h = g[:1] * w
+        for _ in range(m - 2):
+            h = (h[:, None, :] * g).reshape(-1, p)
+        h = h.sum(axis=1) if m == 1 else h @ g.T
+        h **= n  # in place, so the peak does not hold h twice
         # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, which the
-        # diagonal rotation folds to p times its part with theta_1 = x_0
-        h = np.einsum(",".join(f"{ax}z" for ax in row_axes) + ",z->" + "".join(row_axes),
-                      g[:1], *([g] * (m - 1)), w, optimize=True)
-        total = np.einsum(",".join(row_axes) + "," + "".join(row_axes) + "->",
-                          u[:1], *([u] * (m - 1)), h ** n, optimize=True)
-        value = complex(p * total * (TWO_PI / p) ** (m + n))
+        # diagonal rotation folds to p u_0 times the sum over the free angles
+        for _ in range(m - 1):
+            h = h.reshape(-1, p) @ u
+        value = complex(p * u[0] * h[0] * (TWO_PI / p) ** (m + n))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError(f"the quadrature sum is {value}")
     return value

@@ -4,10 +4,12 @@ Drives cli.main in-process on seeded random argument lists covering every
 subcommand, every format and the cap flags, on shapes from desk size to
 margins near 10**18, some of them unbalanced, zero or negative.  Each call
 must return 0, 1 or 2 with no exception escaping, and leave CPython's
-int-to-str digit limit as it found it.  Exit 1 and out of memory write one
-line on stderr and no record; any other exit writes a record that reads
-back in its format and holds no nan or infinity, and on exit 2 it carries
-the cap fields error, kind, limit and used.
+int-to-str digit limit as it found it.  A negative cap or --eval, or a
+--digits outside 1..17, is a bad argument and must exit 1, whatever else the
+call would do.  Exit 1 and out of memory write one line on stderr and no
+record; any other exit writes a record that reads back in its format and
+holds no nan or infinity, and on exit 2 it carries the cap fields error,
+kind, limit and used.
 
 A per-call alarm stops a call still running after TIMEOUT_S seconds; such
 calls are skipped, listed on stderr and counted as slow, and a run with
@@ -149,6 +151,14 @@ def _record(out: str, fmt: str) -> dict:
     return record
 
 
+def _bad_value(argv: list[str]) -> bool:
+    """Whether argv gives a negative cap or --eval, or a --digits outside 1..17."""
+    flags = dict(zip(argv, argv[1:]))
+    return (any(flags.get(flag, "").startswith("-")
+                for flag in ("--max-states", "--max-work", "--max-evals", "--eval"))
+            or not 1 <= int(flags.get("--digits", 1)) <= 17)
+
+
 def check(argv: list[str]) -> str | None:
     """Run one command line; None if it kept the contract, else what broke."""
     out, err, digits = io.StringIO(), io.StringIO(), DIGITS()
@@ -164,6 +174,8 @@ def check(argv: list[str]) -> str | None:
         return f"the int-to-str digit limit is {DIGITS()} after the call, {digits} before"
     if code not in (0, 1, 2):
         return f"exit {code!r}, stderr {err!r}"
+    if code != 1 and _bad_value(argv):
+        return f"exit {code} on a bad argument, stderr {err!r}"
     if code == 1 or err == "contab: resource limit: out of memory\n":
         if out or not err.startswith("contab: ") or err.count("\n") != 1:
             return f"exit {code} wrote stdout {out!r} and stderr {err!r}"

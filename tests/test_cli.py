@@ -111,12 +111,30 @@ def test_cap_hit_writes_a_record():
     ("count", "3", "3", "3", "3", "--max-states", "-1"),
     ("ehrhart", "2", "3", "--max-work", "-1"),
     ("verify-integral", "2", "2", "2", "2", "--grid", "8", "--max-evals", "-1"),
+    # decompose charges its binomials before it counts, and the quadrature
+    # runs before the exact count; neither may turn a bad cap into a cap hit
+    ("decompose", "2", "3", "3", "2", "--max-states", "-1"),
+    ("decompose", "2", "3", "3", "2", "--max-work", "-1"),
+    ("verify-integral", "2", "2", "2", "2", "--grid", "4096", "--max-states", "-1"),
 ])
 def test_negative_cap_is_a_domain_error(argv):
-    # a cap below zero is a bad argument, not a cap hit: exit 1, no record
+    # a cap below zero is a bad argument, not a cap hit: exit 1, no record,
+    # and the same line on every subcommand
     code, out, err = run(*argv, "--format", "json")
     assert (code, out) == (1, "")
-    assert err.startswith("contab: error: ")
+    assert err == f"contab: error: argument {argv[-2]}: must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^6 samples take tens of seconds, and so does fitting the 7x7 polynomial
+    ["mc", "10", "20", "10", "20", "--samples", "1000000", "--digits", "0"],
+    ["ehrhart", "7", "7", "--eval", "-1"],
+])
+def test_bad_digits_and_eval_stop_before_any_work(argv):
+    proc = subprocess.run([sys.executable, "-m", "contab", *argv], capture_output=True,
+                          text=True, timeout=5, env=_source_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("contab: error: ") and proc.stderr.count("\n") == 1
 
 
 def test_wide_margins_write_a_state_cap_record():
@@ -411,11 +429,13 @@ def test_verify_integral_bounds_section():
 
 def test_verify_integral_dimension_and_eval_caps():
     assert run_json("verify-integral", "4", "1", "4", "1", "--grid", "16")["exact"] == "24"
-    # the contraction cannot name 26 row angles: a domain error at any budget
+    # 26 rows are limited by the budget alone: 2^26 terms pass the default
     code, out, err = run("verify-integral", "26", "1", "26", "1", "--grid", "2",
-                         "--max-evals", str(2 ** 26))
-    assert (code, out) == (1, "")
-    assert err.startswith("contab: error: ")
+                         "--format", "json")
+    assert code == 2 and err.startswith("contab: resource limit: ")
+    rec = json.loads(out)
+    assert (rec["error"], rec["kind"], rec["limit"], rec["used"]) == \
+        ("resource_limit", "evals", 2 ** 23, 2 ** 26)
     code, out, err = run("verify-integral", "2", "2", "2", "2", "--grid", "8",
                          "--max-dims", "8")
     assert (code, out) == (1, "")

@@ -348,6 +348,17 @@ def test_allocations_match_a_labeled_enumeration():
     assert stored > 0 and several > 100 and summed > 90
 
 
+def test_children_stop_in_the_fold_once_past_the_room():
+    # a state that count_exact((5,20,10,10), max_work=100) reaches: its first
+    # class alone has 41 allocations, so with room 40 the fold stops before
+    # the last two classes are paired, and the floor it returns is below the
+    # state's 256 allocations
+    memo = exact._Moves(make_spec(5, 20, 10, 10), 10, 3, 10 ** 6)
+    assert memo.children([17, 19, 20], [3, 1, 1], 40) == ({}, 41)
+    got, allocations = memo.children([17, 19, 20], [3, 1, 1], 256)
+    assert (len(got), allocations) == (98, 256)
+
+
 def test_state_cap_bounds_a_state_s_summed_children():
     # five classes of two rows at t = 20 have 403470 allocations and 99488
     # children; a cap of one less raises at the children's dict, and a cap

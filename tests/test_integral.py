@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -147,8 +148,8 @@ def test_reconstruction_sweep_all_small_shapes():
                 assert abs(value.imag) <= 1e-8 * abs(value.real), spec
 
 
-def test_wide_shape_einsum_path():
-    # m + n = 8 exercises the general contraction at the default budget
+def test_wide_shape_contraction():
+    # m + n = 8 folds in two middle rows before the closing matrix product
     spec = make_spec(4, 1, 4, 1)
     value = integral_numeric(spec, 16)
     count = reconstruct_count(spec, value)
@@ -168,18 +169,24 @@ def test_one_row_quadrature_builds_one_factor_row():
     assert abs(reconstruct_count(spec, value) - 1) <= 1e-9
 
 
-def test_dimension_cap_enforced():
-    # the einsums name one subscript per row angle, so 26 rows is a domain
-    # error, raised before any array is built even when the budget admits 2^26
+@pytest.mark.parametrize("m, used", [(26, 2**26), (10**18, 2**23 + 1)],
+                         ids=["26_rows", "1e18_rows"])
+def test_many_rows_stop_at_the_eval_budget(m, used):
+    # no row count is refused as such: 26 rows at 2 points are 2^26 terms,
+    # past the default budget, and that is raised before any array is built.
+    # 2^m with m near 10^18 would not finish forming, so used is then the
+    # budget plus one, all the record can say
+    started = time.perf_counter()
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidSpecError) as err:
-            integral_numeric(make_spec(26, 1, 26, 1), 2, max_evals=2**26)
+        with pytest.raises(ResourceLimitError) as err:
+            integral_numeric(make_spec(m, 1, m, 1), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "min(m, n) <= 25" in str(err.value)
+    assert (err.value.kind, err.value.limit, err.value.used) == ("evals", 2**23, used)
     assert peak < 1 << 20
+    assert time.perf_counter() - started < 1
 
 
 def test_eval_budget_enforced():
