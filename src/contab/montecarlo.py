@@ -12,12 +12,10 @@ sequential conditionals
 
 where W_below(v) counts the budget-respecting ways the rows below can
 absorb v into this column, each weighted by its own spread count.  W_below
-is a short convolution computed by dynamic programming per column.  The
-cruder surrogate that replaces W_below by the unbudgeted composition count
-C(v + mb - 1, mb - 1) has the same support but catastrophically heavy
-weight tails already at a 10 x 10, margin-20 table (effective sample sizes
-of ~2 out of 1e5); the exact lookahead keeps the effective sample size
-above 98% there.
+is a short convolution computed by dynamic programming per column.  With
+the unbudgeted composition count C(v + mb - 1, mb - 1) in its place, the
+effective sample size of a 10 x 10, margin-20 table was ~2 out of 1e5; the
+exact lookahead keeps it above 98% there.
 
 The support at each step is lo = max(0, t_rem - sum of budgets below) ..
 hi = min(r_i, t_rem): within it every value leads to at least one valid
@@ -26,33 +24,29 @@ reaches every valid table.  In the last column the range collapses to
 x = r_i by conservation.
 
 Each sample carries the weight 1/q(table); averaging the weights gives an
-unbiased estimate of the count.  The weights are accumulated in log space
-since the counts of interest reach 1e127, but the lookahead is linear and
-scaled: row i's entry weights are kept as the ratios
-C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), which are 1 at x = 0,
-and each convolution is rescaled to a per-sample maximum of 1.  Each ratio
-is the running product over x of the steps (r_i - x + 1) / (r_i - x + nl),
-each a quotient of exact integers.  The ratios are computed per column, only
-for the budgets r_i present in the chunk, into a table of
-(t+1) x (budgets present) values that counts against the chunk's byte
-budget, so besides the chunk's own arrays only the budget index, of length
-s + 1, grows with the margins.  That table is gathered along its budget axis
-into the column's entry weights, a C-contiguous (t+1) x m x samples array,
-so the lookahead and the draw read each sample's value next to the next
-sample's.  A factor that is constant for a sample cancels from every
-conditional, so only the draw's log z - log p(x) leaves linear space.  The
-last row of a column and the whole last column are forced and cost no draw.
-In the first column every row of every sample has budget s, so that
-column's entry weights and lookahead are computed once, in one sample's
-lane, and broadcast to the chunk.
+unbiased estimate of the count.  Row i's entry weights a_i(x) are the ratios
+C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), 1 at x = 0, running
+products of exact-integer quotients (r_i - x + 1) / (r_i - x + nl).  Per
+column they fill a (t+1) x (budgets present) table, counted against the
+chunk's byte budget (beside it only the budget index, over the budgets'
+range, grows with the margins), gathered into a (t+1) x m x samples array,
+sample axis innermost.  Each draw's normalizer is the lookahead read by the
+draw above, so a column's proposal telescopes to prod_i a_i(x_i) / Z, Z the
+first draw's normalizer, and adds log Z - sum_i log a_i(x_i) to the log
+weight, kept in log space as counts reach 1e127.  The lookahead is linear
+and unscaled: from a maximum of 1 it grows by at most t + 1 per row, so it
+is rescaled to a per-sample maximum of 1, its log added to the weight, only
+every _RESCALE_BITS // (t+1).bit_length() rows, which no benchmark shape
+reaches.  The last row of a column and the whole last column are forced and
+cost no draw.  In column 0 every row of every sample has budget s, so its
+entry weights and lookahead are computed once, in one lane, and broadcast.
 
 Sample i is a pure function of (seed, i).  Samples run in chunks sized by a
 fixed byte budget; each chunk draws m*n uniforms per sample from the
-counter-based Philox stream where the previous chunk left it, and all
-per-sample arithmetic is independent of batching, so results do not depend
-on chunk sizes.  mc_estimate folds each chunk's weights into a running
-maximum and two running sums before it draws the next, so no array grows
-with the sample count.
+Philox stream where the previous chunk left it, and all per-sample
+arithmetic is independent of batching, so results do not depend on chunk
+sizes.  mc_estimate folds each chunk's weights into a running maximum and
+two running sums before the next, so no array grows with the sample count.
 
 numpy is imported inside the functions that compute with arrays, so
 `import contab` and the subcommands that never sample do not pay for it.
@@ -70,6 +64,9 @@ from .core import InvalidSpecError, LogEstimate, TableSpec
 # working set of one chunk of samples; of 2 to 64 MiB, 16 MiB ran the
 # 10x10, 3x100 and 30x30 benchmark shapes fastest together
 _CHUNK_BYTES = 16 << 20
+# the lookahead, rescaled every _RESCALE_BITS // (t+1).bit_length() rows,
+# stays below 2**900 and the draw's sums below 2**964, inside the floats
+_RESCALE_BITS = 900
 
 
 @dataclass(frozen=True)
@@ -230,12 +227,13 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
     per_budget = 25 * (t + 1)
     chunk = max(1, (_CHUNK_BYTES - per_budget * (s + 1)) // per_sample,
                 _CHUNK_BYTES // (per_sample + per_budget * m))
-    # numpy refuses an array past the address space with a ValueError, so one
-    # sample's arrays are sized first and reported out of memory; margins
-    # past the floats raise OverflowError here instead
-    needed = float(per_sample)
+    # one sample's arrays are sized, then claimed once before the first draw, so
+    # a shape that cannot have them is out of memory at once, not minutes in (numpy
+    # raises ValueError past the address space, float() OverflowError past the floats)
+    needed = float(per_sample + per_budget * min(s + 1, m))
     if needed > np.iinfo(np.intp).max:
         raise MemoryError(f"one sample needs {needed:.3g} bytes of arrays")
+    np.empty(int(needed), dtype=np.uint8)
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)
         tables = np.zeros((size, m, n), dtype=np.int64) if want_tables else None
@@ -245,103 +243,105 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
 
 
 def _entry_weights(budgets, nl: int, t: int):
-    """Scaled entry weights a[x, i, k] of rows with budgets u = budgets[i, k].
+    """Scaled entry weights of rows with budgets u = budgets[i, k], as (ratio, slots).
 
-    a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
-    x = 0..min(t, largest budget), so a[0] = 1 and a[x] = 0 for x > u, with
-    nl columns left after this one.  The ratios are computed once per budget
-    present and gathered along the budget axis, so `a` is C-contiguous with
-    the sample axis k innermost.
+    ratio[x, slots[i, k]] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1)
+    for x = 0..min(t, largest budget), nl columns left after this one, so it
+    is 1 at x = 0 and 0 for x > u; one column per budget present.
     """
     import numpy as np
-    top = int(budgets.max())
-    present = np.zeros(top + 1, dtype=bool)
-    present[budgets] = True
+    low, top = int(budgets.min()), int(budgets.max())
+    shifted = budgets - low
+    present = np.zeros(top - low + 1, dtype=bool)
+    present[shifted] = True
     slot = np.cumsum(present) - 1
     # ratio[x, slot[u]] is the product over y = 1..x of the step
     # C(u - y + nl - 1, nl - 1) / C(u - y + nl, nl - 1) = left / (left + nl - 1)
     # with left = u - y + 1; the step is 0 at y = u + 1, so is every ratio past
-    left = np.flatnonzero(present) - np.arange(min(t, top))[:, None]
+    left = np.flatnonzero(present) + (low - np.arange(min(t, top))[:, None])
     ratio = np.zeros((left.shape[0] + 1, left.shape[1]))
     ratio[0] = 1.0
     np.divide(left, left + (nl - 1), out=ratio[1:], where=left > 0)
     np.multiply.accumulate(ratio, axis=0, out=ratio)
-    return ratio.take(slot[budgets], axis=1)
+    return ratio, slot[shifted]
 
 
 def _sample_chunk(m, s, n, t, uniforms, tables):
-    """Log weights of one chunk of samples, filled column by column.
-
-    Arrays are C-contiguous with the sample axis last, so every step below
-    runs over contiguous rows of one value per sample.  In column 0 every
-    sample has budgets (s, ..., s): its entry weights and lookahead are
-    computed in one lane and broadcast to the others.
-    """
+    """Log weights of one chunk, filled column by column, sample axis last."""
     import numpy as np
     size = uniforms.shape[0]
     width = t + 1
     budgets = np.full((m, size), s, dtype=np.int64)
     logw = np.zeros(size, dtype=np.float64)
-    cols = np.arange(size)
-    xs = np.arange(width)[:, None]
-    # pad[i][1 + v]: scaled weighted ways rows i + 1.. can absorb v into the
-    # column, read by the draw of row i; pad[i][0] stays 0 and stands for
-    # every v < 0 in the draw.  Only the m - 1 drawn rows have one
+    steps = np.arange(width)[:, None] * size
+    every = _RESCALE_BITS // width.bit_length()
+    # pad[i][1 + v]: weighted ways rows i + 1.. absorb v, read by row i's draw;
+    # pad[i][0] stays 0 for every v < 0.  Only the m - 1 drawn rows have one
     pad = np.zeros((m - 1, width + 1, size))
     look = pad[:, 1:]
     for j in range(n - 1):
         # the samples whose weights differ: one lane in column 0, all later
         lanes = budgets[:, :1] if j == 0 else budgets
         k = lanes.shape[1]
-        a = _entry_weights(lanes, n - 1 - j, t)   # a[x, i, lane]
-        # the last row absorbs v alone (an empty slice when m = 1); rows above
-        # convolve in their weights
+        ratio, slots = _entry_weights(lanes, n - 1 - j, t)
+        a = ratio.take(slots, axis=1)   # a[x, i, lane]
+        # log a[x, i] is loga[x * kinds + slots[i]]; no draw reads a log of 0
+        kinds = ratio.shape[1]
+        loga = np.log(ratio, out=ratio, where=ratio > 0).reshape(-1)
+        lasts = np.minimum(lanes.max(axis=1), t).tolist()
+        # the last row absorbs v alone (empty when m = 1); each row above convolves
+        # in out[v] = sum over x of a[x, i] * below[v - x] in x order, a[0] = 1
         look[-1:, :, :k] = 0.0
         look[-1:, :a.shape[0], :k] = a[:, m - 1]
-        # out[v] = sum over x of a[x, i] * below[v - x], summed in x order
         for i in range(m - 2, 0, -1):
             below, out = look[i, :, :k], look[i - 1, :, :k]
-            last = min(t, int(lanes[i].max()))
-            for v in range(width):
-                span = min(v, last) + 1
+            out[0] = below[0]
+            for v in range(1, width):
+                span = min(v, lasts[i]) + 1
                 np.einsum("xk,xk->k", a[:span, i], below[v::-1][:span], out=out[v])
-            out /= out.max(axis=0)
+            if (m - 1 - i) % every == 0:
+                logw += np.log(scale := out.max(axis=0))
+                out /= scale
         # one lane stands for every sample; empty once each sample has its own
         look[:, :, k:] = look[:, :, :1]
         t_rem = np.full(size, t, dtype=np.int64)
+        # off - steps[x] is the flat index of look[i][t_rem - x] in pad[i]
+        off = width * size + np.arange(size)
         for i in range(m - 1):
             hi = np.minimum(budgets[i], t_rem)
             rows = int(hi.max()) + 1
             # p[x] = a[x] * look[i][t_rem - x], gathered from the flat padded
             # table; mode="clip" sends every v < -1 to the zero row too
-            at = (t_rem + 1) * size + cols - xs[:rows] * size
-            p = a[:rows, i] * pad[i].reshape(-1).take(at, mode="clip")
-            # cumsum runs down the strided axis, so it wins only when the
-            # draw has more rows than samples; both add in x order
+            p = a[:rows, i] * pad[i].reshape(-1).take(off - steps[:rows], mode="clip")
+            # p becomes its CDF in place, in x order; cumsum runs down the
+            # strided axis, so it wins only when the draw has more rows than samples
             if rows > size:
-                cdf = np.cumsum(p, axis=0)
+                np.cumsum(p, axis=0, out=p)
             else:
-                cdf = p.copy()
                 for x in range(1, rows):
-                    cdf[x] += cdf[x - 1]
-            z = cdf[-1]
+                    p[x] += p[x - 1]
+            z = p[-1]
             assert (z > 0).all(), "proposal support vanished"
             # x is the first entry whose CDF exceeds u * z: with <=, a
             # uniform of exactly 0 skips the leading entries of weight 0
-            idx = (cdf <= uniforms[:, j * m + i] * z).sum(axis=0)
-            x = np.minimum(idx, hi)
-            logw += np.log(z) - np.log(p[x, cols])
+            x = np.minimum((p <= uniforms[:, j * m + i] * z).sum(axis=0), hi)
+            if i == 0:
+                logw += np.log(z)   # the column normalizer Z
+            logw -= loga.take(x * kinds + slots[i])
             budgets[i] -= x
             t_rem -= x
+            off -= x * size
             if tables is not None:
                 tables[:, i, j] = x
-        # the last row takes what the column still needs, with weight 1
+        # the last row takes what the column still needs; its a is q's last factor
         assert (budgets[m - 1] >= t_rem).all(), "column sum not met"
+        if m > 1:
+            logw -= loga.take(t_rem * kinds + slots[m - 1])
         budgets[m - 1] -= t_rem
         if tables is not None:
             tables[:, m - 1, j] = t_rem
         # drop this column's weights before the next column gathers its own
-        del a
+        del a, loga, ratio, slots
     # the last column takes what every row still has, with weight 1
     assert (budgets.sum(axis=0) == t).all(), "row sum not met"
     if tables is not None:

@@ -260,23 +260,59 @@ def test_log_weight_matches_enumerated_probability():
 
 
 def test_entry_weights_are_spread_count_ratios():
-    # a[x, i, k] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1) for
-    # budget u = budgets[i, k], and 0 past the budget; on the wide budgets
+    # ratio[x, slots[i, k]] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1)
+    # for budget u = budgets[i, k], and 0 past the budget; on the wide budgets
     # the running product over up to 3000 steps must stay within 1e-13
     top = 12
     small = np.array([range(top + 1), range(top, -1, -1)])
     wide = np.array([[0, 1, 49, 50, 51, 999, 2999, 3000]])
     cases = [(small, t, nl) for t in (4, 15) for nl in range(1, 8)]
     cases += [(wide, t, nl) for t in (50, 3000) for nl in (2, 5, 40)]
+    # budgets that exclude 0: the table has a column for each budget present only
+    cases += [(np.array([[7, 9, 12]]), t, nl) for t in (3, 15) for nl in (1, 4)]
     for budgets, t, nl in cases:
-        a = montecarlo._entry_weights(budgets, nl, t)
+        ratio, slots = montecarlo._entry_weights(budgets, nl, t)
+        assert ratio.shape == (min(t, int(budgets.max())) + 1, len(np.unique(budgets)))
+        assert slots.shape == budgets.shape
+        a = ratio.take(slots, axis=1)
         assert a.flags.c_contiguous
-        assert a.shape == (min(t, int(budgets.max())) + 1,) + budgets.shape
         for (x, i, k), got in np.ndenumerate(a):
             u = int(budgets[i, k])
             want = (math.comb(u - x + nl - 1, nl - 1) / math.comb(u + nl - 1, nl - 1)
                     if x <= u else 0.0)
             assert math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (t, nl, u, x)
+
+
+def test_entry_weights_memory_spans_the_budgets_range_only():
+    # the budget index runs over min..max of the budgets, not 0..max: two
+    # budgets near 10^7 take four slots, where an index from 0 held 10^7 + 1
+    budgets = np.array([[10**7, 10**7 - 3]])
+    montecarlo._entry_weights(budgets, 5, 20)
+    tracemalloc.start()
+    try:
+        ratio, slots = montecarlo._entry_weights(budgets, 5, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratio.shape == (21, 2) and slots.tolist() == [[1, 0]]
+    assert peak < 1 << 20
+
+
+def test_rescaling_every_row_keeps_weights_and_tables(monkeypatch):
+    # the lookahead is rescaled only near overflow, and the column normalizer
+    # gets back what each rescale takes out; forced to rescale after every
+    # row, the weights are still -log q and the draws do not move
+    for quad in [(2, 2, 2, 2), (3, 4, 3, 4), (4, 3, 3, 4), (2, 6, 4, 3)]:
+        spec = make_spec(*quad)
+        by_table = {t: q for t, q in enumerate_proposal(spec)}
+        (_w, tables), = montecarlo._weight_chunks(spec, 300, 5, want_tables=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(montecarlo, "_RESCALE_BITS", (spec.t + 1).bit_length())
+            (logw, forced), = montecarlo._weight_chunks(spec, 300, 5, want_tables=True)
+        assert forced.tobytes() == tables.tobytes(), quad
+        for table, w in zip(forced, logw):
+            expected = -math.log(float(by_table[tuple(map(tuple, table.tolist()))]))
+            assert math.isclose(w, expected, rel_tol=1e-12, abs_tol=1e-12), quad
 
 
 def test_zero_uniform_draws_a_feasible_entry():
