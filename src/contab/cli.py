@@ -290,10 +290,10 @@ def _verify_integral(args, spec) -> dict:
 
 def _check_hypothesis(args, spec) -> dict:
     lhs = estimators.hypothesis_lhs(spec)
+    coefficient = estimators.hypothesis_min_coefficient(spec)
     # JSON has no infinity: with n == 1 there is no smallest coefficient
     fields = {"lhs": str(lhs), "lhs_float": float(lhs),
-              "min_coefficient": None if spec.n == 1
-              else estimators.hypothesis_min_coefficient(spec)}
+              "min_coefficient": coefficient if math.isfinite(coefficient) else None}
     if args.a is not None:
         threshold = args.a * math.log(spec.n)
         # JSON has no infinity: a non-finite a, or a * ln(n) past the doubles

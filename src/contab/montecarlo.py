@@ -27,10 +27,11 @@ Each sample carries the weight 1/q(table); averaging the weights gives an
 unbiased estimate of the count.  Row i's entry weights a_i(x) are the ratios
 C(r_i - x + nl - 1, nl - 1) / C(r_i + nl - 1, nl - 1), 1 at x = 0, running
 products of exact-integer quotients (r_i - x + 1) / (r_i - x + nl).  Per
-column they fill a (t+1) x (budgets present) table, counted against the
-chunk's byte budget (beside it only the budget index, over the budgets'
-range, grows with the margins), gathered into a (t+1) x m x samples array,
-sample axis innermost.  Each draw's normalizer is the lookahead read by the
+column they fill an (h+1) x (budgets present) table, h = min(s, t) for the
+whole call since no budget exceeds s, counted against the chunk's byte
+budget (beside it only the budget index, over the budgets' range, grows with
+the margins), gathered into an (h+1) x m x samples array, sample axis
+innermost.  Each draw's normalizer is the lookahead read by the
 draw above, so a column's proposal telescopes to prod_i a_i(x_i) / Z, Z the
 first draw's normalizer, and adds log Z - sum_i log a_i(x_i) to the log
 weight, kept in log space as counts reach 1e127.  The lookahead is linear
@@ -39,7 +40,7 @@ is rescaled to a per-sample maximum of 1, its log added to the weight, only
 every _RESCALE_BITS // (t+1).bit_length() rows, which no benchmark shape
 reaches.  The last row of a column and the whole last column are forced and
 cost no draw.  In column 0 every row of every sample has budget s, so its
-entry weights and lookahead are computed once, in one lane, and broadcast.
+entry weights and lookahead are computed once, in one lane, and read in place.
 
 Sample i is a pure function of (seed, i).  Samples run in chunks sized by a
 fixed byte budget; each chunk draws m*n uniforms per sample from the
@@ -242,12 +243,12 @@ def _weight_chunks(spec: TableSpec, samples: int, seed: int, want_tables: bool =
         yield _sample_chunk(m, s, n, t, rng.random((size, m * n)), tables), tables
 
 
-def _entry_weights(budgets, nl: int, t: int):
+def _entry_weights(budgets, nl: int, h: int):
     """Scaled entry weights of rows with budgets u = budgets[i, k], as (ratio, slots).
 
     ratio[x, slots[i, k]] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1)
-    for x = 0..min(t, largest budget), nl columns left after this one, so it
-    is 1 at x = 0 and 0 for x > u; one column per budget present.
+    for x = 0..h, nl columns left after this one, so it is 1 at x = 0 and 0
+    for x > u; one column per budget present.
     """
     import numpy as np
     low, top = int(budgets.min()), int(budgets.max())
@@ -258,7 +259,7 @@ def _entry_weights(budgets, nl: int, t: int):
     # ratio[x, slot[u]] is the product over y = 1..x of the step
     # C(u - y + nl - 1, nl - 1) / C(u - y + nl, nl - 1) = left / (left + nl - 1)
     # with left = u - y + 1; the step is 0 at y = u + 1, so is every ratio past
-    left = np.flatnonzero(present) + (low - np.arange(min(t, top))[:, None])
+    left = np.flatnonzero(present) + (low - np.arange(h)[:, None])
     ratio = np.zeros((left.shape[0] + 1, left.shape[1]))
     ratio[0] = 1.0
     np.divide(left, left + (nl - 1), out=ratio[1:], where=left > 0)
@@ -270,7 +271,7 @@ def _sample_chunk(m, s, n, t, uniforms, tables):
     """Log weights of one chunk, filled column by column, sample axis last."""
     import numpy as np
     size = uniforms.shape[0]
-    width = t + 1
+    width, h = t + 1, min(s, t)
     budgets = np.full((m, size), s, dtype=np.int64)
     logw = np.zeros(size, dtype=np.float64)
     steps = np.arange(width)[:, None] * size
@@ -283,30 +284,26 @@ def _sample_chunk(m, s, n, t, uniforms, tables):
         # the samples whose weights differ: one lane in column 0, all later
         lanes = budgets[:, :1] if j == 0 else budgets
         k = lanes.shape[1]
-        ratio, slots = _entry_weights(lanes, n - 1 - j, t)
+        ratio, slots = _entry_weights(lanes, n - 1 - j, h)
         a = ratio.take(slots, axis=1)   # a[x, i, lane]
         # log a[x, i] is loga[x * kinds + slots[i]]; no draw reads a log of 0
         kinds = ratio.shape[1]
         loga = np.log(ratio, out=ratio, where=ratio > 0).reshape(-1)
-        lasts = np.minimum(lanes.max(axis=1), t).tolist()
-        # the last row absorbs v alone (empty when m = 1); each row above convolves
-        # in out[v] = sum over x of a[x, i] * below[v - x] in x order, a[0] = 1
-        look[-1:, :, :k] = 0.0
-        look[-1:, :a.shape[0], :k] = a[:, m - 1]
+        # the last row absorbs v alone (empty when m = 1), its rows past h never
+        # written and 0; each row above convolves in out[v] = sum over x of
+        # a[x, i] * below[v - x] in x order
+        look[-1:, :h + 1, :k] = a[:, m - 1]
         for i in range(m - 2, 0, -1):
             below, out = look[i, :, :k], look[i - 1, :, :k]
-            out[0] = below[0]
-            for v in range(1, width):
-                span = min(v, lasts[i]) + 1
-                np.einsum("xk,xk->k", a[:span, i], below[v::-1][:span], out=out[v])
+            for v in range(width):
+                np.einsum("xk,xk->k", a[:v + 1, i], below[v::-1][:h + 1], out=out[v])
             if (m - 1 - i) % every == 0:
                 logw += np.log(scale := out.max(axis=0))
                 out /= scale
-        # one lane stands for every sample; empty once each sample has its own
-        look[:, :, k:] = look[:, :, :1]
         t_rem = np.full(size, t, dtype=np.int64)
-        # off - steps[x] is the flat index of look[i][t_rem - x] in pad[i]
-        off = width * size + np.arange(size)
+        # off - steps[x] is the flat index of look[i][t_rem - x] in pad[i], in
+        # the sample's own lane, or in lane 0 for every sample in column 0
+        off = width * size + np.arange(size) % k
         for i in range(m - 1):
             hi = np.minimum(budgets[i], t_rem)
             rows = int(hi.max()) + 1

@@ -345,6 +345,14 @@ def test_csv_flattens_interval_fields():
     assert rows[0]["high"] == "1.534e7"
 
 
+def test_csv_joins_list_fields():
+    code, out, _ = run("ehrhart", "2", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["coefficients"] == "1;3;3"
+    assert rows[0]["h_vector"] == "1;4;1"
+
+
 def test_decompose_exact_rational_fields():
     rec = run_json("decompose", "2", "3", "3", "2")
     assert rec["dependence"] == "539/450"
@@ -380,6 +388,12 @@ def test_compare_with_mc_column():
     assert rec["mc"] == "3.000"
     assert rec["seed"] == 1
     assert rec["exact"] == "3"
+    # the text table puts the mc column between the bracket and the exact count
+    code, out, _ = run("compare", "2", "2", "2", "2", "--mc-samples", "20")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.split()[-3:] == ["bracket", "mc", "exact"]
+    assert row.split()[-2:] == ["3.000", "3"]
 
 
 def test_compare_reports_cap_and_keeps_estimates():
@@ -446,6 +460,15 @@ def test_verify_integral_dimension_and_eval_caps():
     assert code == 2
     assert "64^2" in err
     assert json.loads(out)["used"] == 64 ** 2
+
+
+def test_verify_integral_reports_the_exact_cap():
+    # the quadrature runs whole; the exact count that would grade it stops at
+    # its work budget and says so (the field sets below: no relative error)
+    rec = run_json("verify-integral", "4", "4", "4", "4", "--grid", "6", "--max-work", "5")
+    assert rec["exact"] is None
+    assert rec["exact_reason"].startswith("work budget exhausted")
+    assert math.isfinite(rec["reconstructed"])
 
 
 def test_check_hypothesis_rational_and_threshold():
@@ -518,6 +541,8 @@ _FIELD_CASES = [
      {"command", "m", "n", "runtime_s", "s0", "t0", "degree", "coefficients",
       "h_vector", "leading"}),
     (["verify-integral", "2", "2", "2", "2", "--grid", "8"], _SPEC | _INTEGRAL),
+    (["verify-integral", "4", "4", "4", "4", "--grid", "6", "--max-work", "5"],
+     _SPEC | _INTEGRAL - {"relative_error"} | {"exact_reason"}),
     (["verify-integral", "2", "1", "2", "1", "--grid", "8", "--bounds"],
      _SPEC | _INTEGRAL | {"seed", "envelope_violations", "envelope_max_slack",
                           "peak_ratio", "peak_within_bound"}),

@@ -75,6 +75,7 @@ def test_permutation_matrices_200():
     assert count_exact(make_spec(200, 1, 200, 1)) == math.factorial(200)
 
 
+@pytest.mark.traced
 def test_permutation_matrices_2000_in_bounded_memory():
     # labelings are binomials evaluated where used; a table of them would
     # hold about m^2/2 big ints before any cap is checked
@@ -144,6 +145,7 @@ def test_join_on_closed_forms_both_parities():
                 assert count_exact(make_spec(4, s, n, t)) == _four_rows(s, n, t), (n, t)
 
 
+@pytest.mark.traced
 def test_wide_margins_stay_bounded():
     # two rows take the closed form, so no state key is built however wide
     # the margins; four rows at s = 3000 need 1126-byte keys, over the
@@ -247,6 +249,7 @@ def test_option_budget_keeps_the_count(monkeypatch):
     assert count_exact(spec, max_states=2000) == count
 
 
+@pytest.mark.traced
 def test_work_cap_is_prompt_on_wide_margins():
     # the one state of the first layer has 109 million moves, 938 bytes
     # each; they are streamed, not stored, so the cap stops the pass at once
@@ -359,6 +362,7 @@ def test_children_stop_in_the_fold_once_past_the_room():
     assert (len(got), allocations) == (98, 256)
 
 
+@pytest.mark.traced
 def test_state_cap_bounds_a_state_s_summed_children():
     # five classes of two rows at t = 20 have 403470 allocations and 99488
     # children; a cap of one less raises at the children's dict, and a cap
@@ -477,6 +481,7 @@ def test_three_row_closed_form_against_oracles():
     assert leading_digits(count_exact(make_spec(3, 99, 9, 33)), 6) == (279207, 21)
 
 
+@pytest.mark.traced
 def test_three_row_caps_are_charged_up_front():
     # the closed form charges every coefficient and term before it builds
     # any: (3,1500,450,10) needs 1463517 units of work and (3,10**7,3,10**7)

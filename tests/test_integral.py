@@ -156,6 +156,7 @@ def test_wide_shape_contraction():
     assert abs(count - 24) <= 1e-8 * 24
 
 
+@pytest.mark.traced
 def test_one_row_quadrature_builds_one_factor_row():
     # a 2000 x 2000 factor table would be 61 MiB; one row reads only its first
     spec = make_spec(1, 3, 1, 3)
@@ -169,6 +170,7 @@ def test_one_row_quadrature_builds_one_factor_row():
     assert abs(reconstruct_count(spec, value) - 1) <= 1e-9
 
 
+@pytest.mark.traced
 @pytest.mark.parametrize("m, used", [(26, 2**26), (10**18, 2**23 + 1)],
                          ids=["26_rows", "1e18_rows"])
 def test_many_rows_stop_at_the_eval_budget(m, used):

@@ -174,6 +174,7 @@ def _warm_up(spec):
     mc_estimate(spec, 2)
 
 
+@pytest.mark.traced
 def test_wide_margins_in_bounded_memory():
     # entry weights are built per chunk for the budgets it holds, so nothing
     # grows with the margins outside the chunk budget
@@ -189,8 +190,9 @@ def test_wide_margins_in_bounded_memory():
     assert peak < 32 << 20
 
 
+@pytest.mark.traced
 def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
-    # each column's ratio table holds (t+1) x (budgets present) values, and
+    # each column's ratio table holds (h+1) x (budgets present) values, h = min(s, t), and
     # with wide columns and a small budget it is the largest array
     budget = 256 << 10
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
@@ -206,6 +208,7 @@ def test_ratio_table_counts_against_the_chunk_budget(monkeypatch):
     assert peak < budget + 8 * 8 * (spec.s + spec.t)
 
 
+@pytest.mark.traced
 def test_chunk_stays_within_its_byte_budget():
     # the m-long per-sample arrays (budgets, their gathered ratio slots, the
     # padded lookahead's extra row) count against the budget, and a column's
@@ -224,6 +227,7 @@ def test_chunk_stays_within_its_byte_budget():
         assert peak < montecarlo._CHUNK_BYTES + 8 * 8 * (spec.s + spec.t), (quad, samples)
 
 
+@pytest.mark.traced
 def test_sample_memory_stays_within_the_budget(monkeypatch):
     # mc_estimate folds each chunk into running sums, so no array grows with
     # the sample count: 400000 samples are 3.2 MB of log weights alone
@@ -261,18 +265,19 @@ def test_log_weight_matches_enumerated_probability():
 
 def test_entry_weights_are_spread_count_ratios():
     # ratio[x, slots[i, k]] = C(u - x + nl - 1, nl - 1) / C(u + nl - 1, nl - 1)
-    # for budget u = budgets[i, k], and 0 past the budget; on the wide budgets
-    # the running product over up to 3000 steps must stay within 1e-13
+    # for budget u = budgets[i, k] and x = 0..h, and 0 past the budget, also
+    # where h exceeds every budget; on the wide budgets the running product
+    # over up to 3000 steps must stay within 1e-13
     top = 12
     small = np.array([range(top + 1), range(top, -1, -1)])
     wide = np.array([[0, 1, 49, 50, 51, 999, 2999, 3000]])
-    cases = [(small, t, nl) for t in (4, 15) for nl in range(1, 8)]
-    cases += [(wide, t, nl) for t in (50, 3000) for nl in (2, 5, 40)]
+    cases = [(small, h, nl) for h in (4, 15) for nl in range(1, 8)]
+    cases += [(wide, h, nl) for h in (50, 3000) for nl in (2, 5, 40)]
     # budgets that exclude 0: the table has a column for each budget present only
-    cases += [(np.array([[7, 9, 12]]), t, nl) for t in (3, 15) for nl in (1, 4)]
-    for budgets, t, nl in cases:
-        ratio, slots = montecarlo._entry_weights(budgets, nl, t)
-        assert ratio.shape == (min(t, int(budgets.max())) + 1, len(np.unique(budgets)))
+    cases += [(np.array([[7, 9, 12]]), h, nl) for h in (3, 15) for nl in (1, 4)]
+    for budgets, h, nl in cases:
+        ratio, slots = montecarlo._entry_weights(budgets, nl, h)
+        assert ratio.shape == (h + 1, len(np.unique(budgets)))
         assert slots.shape == budgets.shape
         a = ratio.take(slots, axis=1)
         assert a.flags.c_contiguous
@@ -280,9 +285,10 @@ def test_entry_weights_are_spread_count_ratios():
             u = int(budgets[i, k])
             want = (math.comb(u - x + nl - 1, nl - 1) / math.comb(u + nl - 1, nl - 1)
                     if x <= u else 0.0)
-            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (t, nl, u, x)
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (h, nl, u, x)
 
 
+@pytest.mark.traced
 def test_entry_weights_memory_spans_the_budgets_range_only():
     # the budget index runs over min..max of the budgets, not 0..max: two
     # budgets near 10^7 take four slots, where an index from 0 held 10^7 + 1
