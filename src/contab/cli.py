@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import ehrhart, estimators, exact, integral, montecarlo
-from .core import InvalidSpecError, LogEstimate, ResourceLimitError, make_spec
+from .core import Budget, InvalidSpecError, LogEstimate, ResourceLimitError, make_spec
 
 DEFAULT_DIGITS = 4
 _ESTIMATE_METHODS = {
@@ -222,7 +222,7 @@ def _decompose(args, spec) -> dict:
     # three of them
     low = min(spec.m * spec.n, spec.total)
     bits = low * (spec.m * spec.n + spec.total).bit_length()
-    exact._charge(spec, 12, 3 * bits, [3 * low], args.max_states, args.max_work)
+    Budget(spec, states=args.max_states, work=args.max_work).charge(12, 3 * bits, [3 * low])
     count = _exact(args, spec)
     dec = estimators.independence_decomposition(spec, count)
     return {"exact": str(count), "placements": str(dec.n_placements),

@@ -40,6 +40,36 @@ class ResourceLimitError(RuntimeError):
         self.used = used
 
 
+# bytes budgeted per held state, the unit of a states cap
+STATE_BYTES = 1024
+
+
+class Budget:
+    """One call's caps, states (STATE_BYTES each), work and evals, and every error they raise."""
+
+    def __init__(self, spec: TableSpec, **caps: int):
+        for kind, cap in caps.items():
+            if cap < 0:
+                raise InvalidSpecError(f"caps must be nonnegative, got max_{kind}={cap}")
+        self.spec, self.caps = spec, caps
+
+    def error(self, kind: str, used: int, detail: str, limit: int | None = None):
+        """The ResourceLimitError of an exhausted cap; limit defaults to the cap."""
+        name = {"states": "state cap", "work": "work budget"}.get(kind, "quadrature budget")
+        return ResourceLimitError(f"{name} exhausted counting {self.spec}: {detail}", kind=kind,
+                                  limit=self.caps[kind] if limit is None else limit, used=used)
+
+    def charge(self, ints: int, bits: int, work) -> None:
+        """Charge a closed form holding `ints` ints below 2**bits and doing sum(work)."""
+        held = ints * (36 + 4 * (bits // 30))  # a list slot and 28 bytes plus 4 per 30 bits
+        if -(-held // STATE_BYTES) > self.caps["states"]:
+            raise self.error("states", -(-held // STATE_BYTES), f"{held} bytes of ints > "
+                             f"{self.caps['states']} states of {STATE_BYTES} bytes")
+        work = sum(work)  # only once the ints fit: a lazy sum may take O(n) steps
+        if work > self.caps["work"]:
+            raise self.error("work", work, f"{work} units of work > {self.caps['work']}")
+
+
 @dataclass(frozen=True)
 class TableSpec:
     """Validated margin specification (m rows summing to s, n columns to t)."""

@@ -79,25 +79,23 @@ the terms of k and n - k.  (3,100,3,100) is MacMahon's magic-square count
 H_3(r) = (r+1)(r+2)(r^2+3r+4)/8 at r = 100, an independent check; its
 coefficients and binomials are all below max(t+1, n+s)^n.
 
-Counts are exact Python ints throughout.  Two budgets bound every path;
-either raises ResourceLimitError, never a wrong answer.  The closed forms
-charge both before they build anything: the ints they hold (three rows: two
-rolling rows, the one being built and s + 1 binomials; two rows: a few),
-each a list slot and 28 bytes plus 4 per 30 bits, against max_states *
-STATE_BYTES, and their coefficients and terms against max_work, a two-row
-term at n units, as its comb calls take up to n big-int steps each.  The
-pass of four rows or more (the join adds no work) caps the states held in
-the layer being built, checked at each insert and on each dict of one total
-that a state sums, and charges column allocations from the option-list
-lengths before the children they make are formed (per move for one class).
-The state cap is the memory guard: it budgets STATE_BYTES, about a
-kilobyte, per state, the layer being expanded included, so the default
-2**20 keeps a pass near a gigabyte.  A held state costs its key,
-ceil(b * (s + 1) / 8) bytes plus 33 of header (11 + 33 on (10,20,10,20)),
-a dict slot and its count; a stored option costs a code and its labelings.
-Width rule: a shape whose keys would outgrow the kilobyte, b * (s + 1) >
-8192 bits, fits no state in its budget, so the pass raises
-ResourceLimitError (kind "states") before it builds any key.
+Counts are exact Python ints throughout.  One Budget (core) per call holds
+both caps, and any cap hit raises ResourceLimitError, never a wrong answer.
+The closed forms charge it before they build anything: the ints they hold
+(three rows: two rolling rows, the one being built and s + 1 binomials; two
+rows: a few), and their coefficients and terms as work, a two-row term at n
+units, as its comb calls take up to n big-int steps each.  The pass of four
+rows or more (the join adds no work) caps the states held in the layer being
+built, checked at each insert and on each dict of one total that a state
+sums, and charges column allocations from the option-list lengths before the
+children they make are formed (per move for one class).  The state cap is
+the memory guard: STATE_BYTES, about a kilobyte, per state, the layer being
+expanded included, so the default 2**20 keeps a pass near a gigabyte.  A
+held state costs its key, ceil(b * (s + 1) / 8) bytes plus 33 of header
+(11 + 33 on (10,20,10,20)), a dict slot and its count; a stored option costs
+a code and its labelings.  Width rule: a shape whose keys would outgrow the
+kilobyte, b * (s + 1) > 8192 bits, fits no state in its budget, so the pass
+raises ResourceLimitError (kind "states", limit 0) before it builds any key.
 
 count_bruteforce enumerates matrices row by row and exists purely as an
 independent oracle for small instances.
@@ -109,12 +107,10 @@ from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial, prod
 from operator import mul, sub
 
-from .core import InvalidSpecError, ResourceLimitError, TableSpec
+from .core import STATE_BYTES, Budget, InvalidSpecError, TableSpec
 
 DEFAULT_MAX_STATES = 2 ** 20
 DEFAULT_MAX_WORK = 10 ** 9
-# bytes budgeted per held state; no key may be wider
-STATE_BYTES = 1024
 
 BRUTEFORCE_MAX_CELLS = 12
 BRUTEFORCE_MAX_ROWSUM = 20
@@ -132,9 +128,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     max_work caps the column allocations, the ways to spend one column
     from one state (default 10**9).  A negative cap is an InvalidSpecError.
     """
-    if max_states < 0 or max_work < 0:
-        raise InvalidSpecError(
-            f"caps must be nonnegative, got max_states={max_states}, max_work={max_work}")
+    budget = Budget(spec, states=max_states, work=max_work)
     if spec.s == 0:
         return 1
     sp = spec if spec.m <= spec.n else spec.transpose()
@@ -142,25 +136,25 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     if m == 1:
         return 1
     if m == 2:  # inclusion exclusion over the j entries of row 1 above t
-        _charge(spec, 4, min(n * (2 * (s + n)).bit_length(), s + 2 * n),
-                [(s // (t + 1) + 1) * n], max_states, max_work)
+        budget.charge(4, min(n * (2 * (s + n)).bit_length(), s + 2 * n),
+                      [(s // (t + 1) + 1) * n])
         return sum((-1) ** j * comb(n, j) * comb(s - j * (t + 1) + n - 1, n - 1)
                    for j in range(s // (t + 1) + 1))
     if m == 3:
-        return _three_rows(spec, s, n, t, max_states, max_work)
+        return _three_rows(budget, s, n, t)
     # stop with h columns left; mirror becomes the layer with n - h left
     h = n // 2
     # no row needs a lower bound (module notes); m = 2 breaks this: (2,5,5,2)
     assert s <= h * t, "a deficit may need a lower bound"
     b = m.bit_length()
     width = (b * (s + 1) + 7) // 8
-    if width > STATE_BYTES:
-        raise _limit(spec, "states", 0, 1, f"a state key of {width} bytes exceeds "
-                     f"the {STATE_BYTES} budgeted per state")
+    if width > STATE_BYTES:  # no key may be wider than the bytes budgeted per state
+        raise budget.error("states", 1, f"a state key of {width} bytes exceeds "
+                           f"the {STATE_BYTES} budgeted per state", limit=0)
 
     layer = {(m << b * s).to_bytes(width, "little"): 1}
     work = 0
-    memo = _Moves(spec, t, b, max_states)
+    memo = _Moves(budget, t, b)
     for cols in range(n, h, -1):
         nxt: dict[bytes, int] = {}
         for key, ways in layer.items():
@@ -185,12 +179,11 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                 elif len(nxt) < max_states:
                     nxt[child] = ways * labelings
                 else:
-                    raise _limit(spec, "states", max_states, len(nxt) + 1,
-                                 f"{len(nxt) + 1} states in one layer > {max_states}")
+                    raise budget.error("states", len(nxt) + 1,
+                                       f"{len(nxt) + 1} states in one layer > {max_states}")
             if work > max_work:
-                raise _limit(spec, "work", max_work, max_work + 1,
-                             f"over {max_work} allocations ({len(nxt)} states in "
-                             f"the layer being built)")
+                raise budget.error("work", max_work + 1, f"over {max_work} allocations "
+                                   f"({len(nxt)} states in the layer being built)")
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -211,8 +204,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     return total
 
 
-def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
-                max_work: int) -> int:
+def _three_rows(budget: Budget, s: int, n: int, t: int) -> int:
     """Three rows of sum s over n columns of sum t, by the binomial double sum.
 
     Term (k, j) is C(n - 1 + j, j) q_k[s + n - k + j] q_(n-k)[s - n + k - j],
@@ -227,10 +219,10 @@ def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
     h = n // 2
     # two rolling rows and the row being built, at most 2 (n t + 1)
     # coefficients, and the binomials, every one below max(t + 1, n + s) ** n
-    _charge(spec, 2 * (n * t + 1) + s + 1, n * max(t + 1, n + s).bit_length(),
-            chain((s + 1,), (i * t + 1 for i in range(1, n + 1)), (i * t + 1 for i in range(h)),
-                  (max(0, last - first + 1) for first, last in map(window, range(n + 1)))),
-            max_states, max_work)
+    budget.charge(2 * (n * t + 1) + s + 1, n * max(t + 1, n + s).bit_length(),
+                  chain((s + 1,), (i * t + 1 for i in range(1, n + 1)),
+                        (i * t + 1 for i in range(h)),
+                        (max(0, last - first + 1) for first, last in map(window, range(n + 1)))))
 
     binoms = list(accumulate(range(1, s + 1), lambda c, j: c * (n - 1 + j) // j,
                              initial=1))
@@ -261,24 +253,6 @@ def _three_rows(spec: TableSpec, s: int, n: int, t: int, max_states: int,
     return total
 
 
-def _limit(spec: TableSpec, kind: str, limit: int, used: int, detail: str):
-    """The error of an exhausted budget, kind "states" or "work", naming the spec."""
-    budget = "state cap" if kind == "states" else "work budget"
-    return ResourceLimitError(f"{budget} exhausted counting {spec}: {detail}",
-                              kind=kind, limit=limit, used=used)
-
-
-def _charge(spec: TableSpec, ints: int, bits: int, work, max_states: int, max_work: int):
-    """Charge a closed form holding `ints` ints below 2**bits and doing sum(work)."""
-    held = ints * (36 + 4 * (bits // 30))  # a list slot and 28 bytes plus 4 per 30 bits
-    if -(-held // STATE_BYTES) > max_states:
-        raise _limit(spec, "states", max_states, -(-held // STATE_BYTES),
-                     f"{held} bytes of ints > {max_states} states of {STATE_BYTES} bytes")
-    work = sum(work)  # only once the ints fit: a lazy sum may take O(n) steps
-    if work > max_work:
-        raise _limit(spec, "work", max_work, work, f"{work} units of work > {max_work}")
-
-
 def _times_q(a: list[int], t: int) -> list[int]:
     """Coefficients of a(z) (1 + z + ... + z**t): prefix sums over a window of t + 1."""
     out = list(accumulate(chain(a, repeat(0, t))))
@@ -304,11 +278,11 @@ class _Moves:
 
     options maps a class key (mu, hi, hi == v) to {class total A: option
     list of (code relative to digit v - hi, labelings) pairs}; held counts
-    the entries stored, at most max_states, none evicted before the pass ends.
+    the entries stored, at most the state cap, none evicted before the pass ends.
     """
 
-    def __init__(self, spec: TableSpec, t: int, b: int, max_states: int):
-        self.spec, self.t, self.b, self.max_states = spec, t, b, max_states
+    def __init__(self, budget: Budget, t: int, b: int):
+        self.budget, self.t, self.b, self.max_states = budget, t, b, budget.caps["states"]
         self.options: dict[tuple, dict] = {}
         self.held = 0
 
@@ -346,8 +320,8 @@ class _Moves:
                             key += code
                             acc[key] = get(key, 0) + weight * lab
                     if len(acc) > cap:
-                        raise _limit(self.spec, "states", cap, cap + 1,
-                                     f"over {cap} partial children of one state")
+                        raise self.budget.error("states", cap + 1,
+                                                f"over {cap} partial children of one state")
             partials = {w: acc.items() for w, acc in folded.items()}
             counts = grown
         # the last two classes at once, the last taking the units left
@@ -377,8 +351,7 @@ class _Moves:
                         key += code
                         acc[key] = get(key, 0) + weight * lab
             if len(acc) > cap:
-                raise _limit(self.spec, "states", cap, cap + 1,
-                             f"over {cap} children of one state")
+                raise self.budget.error("states", cap + 1, f"over {cap} children of one state")
         return acc, allocations
 
     def _build(self, table: dict, mu: int, hi: int, v: int, total: int) -> list:

@@ -46,8 +46,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import (InvalidSpecError, ResourceLimitError, TableSpec, cell_entropy,
-                   gaussian_coeff)
+from .core import Budget, InvalidSpecError, TableSpec, cell_entropy, gaussian_coeff
 
 DEFAULT_MAX_EVALS = 2 ** 23
 PEAK_BOUND_CONSTANT = 10.0   # C in the peak-width bound exp(C*(K^-1 + (A K)^-1))
@@ -97,9 +96,8 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     or max_evals + 1 where p^m has over 2L + 64 bits, L those of max_evals.
     """
     import numpy as np
+    budget = Budget(spec, evals=max_evals)
     lam = float(spec.positive_density())
-    if max_evals < 0:
-        raise InvalidSpecError(f"max_evals must be nonnegative, got {max_evals}")
     if points_per_dim < 2:
         raise InvalidSpecError(f"need at least 2 points per dim, got {points_per_dim}")
     sp = spec if spec.m <= spec.n else spec.transpose()
@@ -109,9 +107,7 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
     # max_evals, it is over the budget anyway (p >= 2), and used says only that
     used = p ** m if m * p.bit_length() <= 2 * max_evals.bit_length() + 64 else max_evals + 1
     if used > max_evals:
-        raise ResourceLimitError(
-            f"quadrature budget exceeded: {p}^{m} terms > {max_evals}",
-            kind="evals", limit=max_evals, used=used)
+        raise budget.error("evals", used, f"{p}^{m} terms > {max_evals}")
 
     x = -math.pi + TWO_PI * np.arange(p) / p
     # wide margins overflow the floats (1 + lam rounds to lam, h ** n passes

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from contab import exact
-from contab.core import InvalidSpecError, ResourceLimitError, leading_digits, make_spec
+from contab.core import (Budget, InvalidSpecError, ResourceLimitError, leading_digits,
+                         make_spec)
 from contab.exact import (
     BRUTEFORCE_MAX_CELLS,
     count_bruteforce,
@@ -319,7 +320,7 @@ def test_allocations_match_a_labeled_enumeration():
     stored = summed = several = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
-        memos = [exact._Moves(make_spec(m, s, n, t), t, b, 10 ** 6) for _ in range(2)]
+        memos = [exact._Moves(Budget(make_spec(m, s, n, t), states=10 ** 6), t, b) for _ in range(2)]
         memos[1].held = memos[1].max_states
         start = [s] * m
         children = {child for child, _ in _labeled_moves(start, t, (n - 1) * t, b)}
@@ -356,7 +357,7 @@ def test_children_stop_in_the_fold_once_past_the_room():
     # class alone has 41 allocations, so with room 40 the fold stops before
     # the last two classes are paired, and the floor it returns is below the
     # state's 256 allocations
-    memo = exact._Moves(make_spec(5, 20, 10, 10), 10, 3, 10 ** 6)
+    memo = exact._Moves(Budget(make_spec(5, 20, 10, 10), states=10 ** 6), 10, 3)
     assert memo.children([17, 19, 20], [3, 1, 1], 40) == ({}, 41)
     got, allocations = memo.children([17, 19, 20], [3, 1, 1], 256)
     assert (len(got), allocations) == (98, 256)
@@ -370,16 +371,16 @@ def test_state_cap_bounds_a_state_s_summed_children():
     # stays near 72 KB, where building the rest of the partials would take
     # over 600 KB.  Both cap errors name the spec, as count_exact's own do
     vs, mus, spec = [3, 7, 12, 18, 20], [2] * 5, make_spec(10, 20, 10, 20)
-    got, allocations = exact._Moves(spec, 20, 4, 99488).children(vs, mus, 10 ** 9)
+    got, allocations = exact._Moves(Budget(spec, states=99488), 20, 4).children(vs, mus, 10 ** 9)
     assert (len(got), allocations) == (99488, 403470)
     with pytest.raises(ResourceLimitError) as err:
-        exact._Moves(spec, 20, 4, 99487).children(vs, mus, 10 ** 9)
+        exact._Moves(Budget(spec, states=99487), 20, 4).children(vs, mus, 10 ** 9)
     assert (err.value.kind, err.value.limit, err.value.used) == ("states", 99487, 99488)
     assert str(err.value).startswith(f"state cap exhausted counting {spec}: ")
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as err:
-            exact._Moves(spec, 20, 4, 50).children(vs, mus, 10 ** 9)
+            exact._Moves(Budget(spec, states=50), 20, 4).children(vs, mus, 10 ** 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
