@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-hypothesis",
             "applicability diagnostic (1+2l)^2/(4l(1+l)) * (1+5m/6n+5n/6m)")
     p.add_argument("--a", type=float, default=None,
-                   help="require lhs >= a * ln(n)")
+                   help="report whether lhs <= a * ln(n), the hypothesis of Theorem 1")
 
     add("delta", "bracket position of the exact count", caps)
     return parser
@@ -300,7 +300,7 @@ def _check_hypothesis(args, spec) -> dict:
         if not math.isfinite(threshold):
             raise InvalidSpecError(f"--a must give a finite a·ln(n), got {args.a}·ln({spec.n})")
         fields.update(a=args.a, threshold=threshold,
-                      satisfied=bool(float(lhs) >= threshold))
+                      satisfied=bool(float(lhs) <= threshold))
     return fields
 
 

@@ -18,9 +18,11 @@ point.  With p points per dimension and m the smaller side (after a
 transpose), summing out the column angles leaves h of the other m - 1 row
 angles, a chain of matrix products that adds one row angle each; h^n is then
 summed against the row phases.  The budget counts the p^m terms summed and is
-the only bound on m.  The traced peak is 32 bytes per term at m = 2, less at
-m >= 3, and 72 bytes at m = 1 (plus about 6 MiB at some p), so the default
-budget of 2^23 terms peaks below 0.6 GiB.
+the only bound on m.  The factor table and each phase row are built in place
+in one complex buffer, so the traced peak per term is 40 bytes at m = 1 (the
+grid, the one g row and one phase row), 16 at m = 2 (the p x p table of g)
+and up to about 16 at m >= 3: the default budget of 2^23 terms peaks below a
+third of a GiB.
 
 The modulus of the integrand splits as prod f(theta_j + phi_k) with
 f(z) = (1 + 4A(1 - cos z))^-1/2 and A = lam(1+lam)/2.  envelope_check
@@ -110,22 +112,39 @@ def integral_numeric(spec: TableSpec, points_per_dim: int, *,
         raise budget.error("evals", used, f"{p}^{m} terms > {max_evals}")
 
     x = -math.pi + TWO_PI * np.arange(p) / p
+
+    def phases(k: int):
+        """exp(-i ((k x) mod 2 pi)) on the grid, built in one complex buffer."""
+        out = np.zeros(p, complex)
+        np.multiply(k, x, out=out.imag)
+        np.remainder(out.imag, TWO_PI, out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        return np.exp(out, out=out)
+
     # wide margins overflow the floats (1 + lam rounds to lam, h ** n passes
     # 1e308), and the sum is then not finite; that is raised below, so
     # numpy's warnings on the way would only add lines to stderr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # one factor g(theta + phi) on the grid; one row reads only theta = x_0
-        g = 1.0 / (1.0 + lam - lam * np.exp(1j * np.add.outer(x[:1] if m == 1 else x, x)))
-        w = np.exp(-1j * ((t * x) % TWO_PI))       # column phase
-        u = np.exp(-1j * ((s * x) % TWO_PI))       # row phase
-        # h(theta) = sum_b w_b prod_j g(theta_j + x_b) with theta_1 = x_0
-        h = g[:1] * w
+        # one factor g(theta + phi) on the grid, built in its own buffer; one
+        # row reads only theta = x_0
+        g = np.zeros((1 if m == 1 else p, p), complex)
+        np.add.outer(x[:1] if m == 1 else x, x, out=g.imag)
+        np.exp(g, out=g)
+        g *= -lam
+        g += 1.0 + lam
+        np.divide(1.0, g, out=g)
+        # h(theta) = sum_b w_b prod_j g(theta_j + x_b) with theta_1 = x_0 and
+        # w the column phase; one row is g itself, so w scales it in place
+        h = g if m == 1 else g[:1].copy()
+        h *= phases(t)
         for _ in range(m - 2):
             h = (h[:, None, :] * g).reshape(-1, p)
         h = h.sum(axis=1) if m == 1 else h @ g.T
         h **= n  # in place, so the peak does not hold h twice
-        # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, which the
-        # diagonal rotation folds to p u_0 times the sum over the free angles
+        # I = (2 pi / p)^(m+n) sum_theta (prod_j u_{a_j}) h(theta)^n, u the row
+        # phase, which the diagonal rotation folds to p u_0 times the sum over
+        # the free angles
+        u = phases(s)
         for _ in range(m - 1):
             h = h.reshape(-1, p) @ u
         value = complex(p * u[0] * h[0] * (TWO_PI / p) ** (m + n))

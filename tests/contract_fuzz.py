@@ -11,16 +11,24 @@ record; any other exit writes a record that reads back in its format and
 holds no nan or infinity, and on exit 2 it carries the cap fields error,
 kind, limit and used.
 
-A per-call alarm stops a call still running after TIMEOUT_S seconds; such
-calls are skipped, listed on stderr and counted as slow, and a run with
-more than MAX_SLOW_SHARE of its cases slow fails.  The address space of
+A cap never truncates: each call that exits 0 within half of TIMEOUT_S and
+whose subcommand reads caps runs again with every cap it reads halved, given
+or default.  The rerun must exit 0 with the same record apart from
+runtime_s, or report a cap: exit 2, or for the exact column of compare and
+verify-integral an exact_reason in place of exact.  A compare table (text
+format) is not read back, so it is not rerun.  The reruns draw nothing from
+the random stream, so a seed's command lines do not depend on them.
+
+A per-call alarm stops a call or rerun still running after TIMEOUT_S
+seconds; such calls are skipped, listed on stderr and counted as slow, and
+a run with more than MAX_SLOW_SHARE of its cases slow fails.  The address space of
 this process is limited to MEMORY_MB, so a call that would take the
 machine's memory fails with MemoryError (exit 2) instead.  Exits 1 and prints the argument
 lists of the breaks if there are any, or if too many cases were slow.
 
     PYTHONPATH=src python tests/contract_fuzz.py [--seed N] [--cases N]
 
-pytest does not collect this file; the defaults took about 25 s on a
+pytest does not collect this file; the defaults took about 11 s on a
 2-vCPU x86_64 VM, most of it in the calls that the alarm stops.
 """
 
@@ -39,7 +47,7 @@ import traceback
 
 import numpy  # noqa: F401  (imported before the address space is limited)
 
-from contab import cli
+from contab import cli, exact, integral
 
 FORMATS = ("text", "json", "csv")
 METHODS = ("good", "thm1", "thm1-closed", "cor1", "conj1")
@@ -53,6 +61,13 @@ MEMORY_MB = 2048
 # 10 leaves room for a slower machine; seeds 1-5 skip 5 to 13, and seed 2
 # (13) fails on this bound alone
 MAX_SLOW_SHARE = 1 / 30
+# the cap flags each subcommand reads, with their defaults
+EXACT_CAPS = {"--max-states": exact.DEFAULT_MAX_STATES, "--max-work": exact.DEFAULT_MAX_WORK}
+CAPS = {command: EXACT_CAPS for command in ("count", "decompose", "compare", "ehrhart", "delta")}
+CAPS["verify-integral"] = {**EXACT_CAPS, "--max-evals": integral.DEFAULT_MAX_EVALS}
+# the fields of an exact count that compare and verify-integral replace by
+# exact_reason when a cap stops it
+EXACT_FIELDS = ("exact", "exact_reason", "relative_error")
 # CPython's int-to-str digit limit (from 3.10.7 on; 0 means none), which
 # cli.main lifts while it runs and must put back
 DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -105,8 +120,8 @@ def _argv(rng: random.Random) -> list[str]:
     else:
         argv = [command, *_shape(rng)]
     argv += ["--format", rng.choice(FORMATS)]
-    if command in ("count", "decompose", "compare", "ehrhart", "verify-integral", "delta"):
-        for flag in ("--max-states", "--max-work"):
+    if command in CAPS:
+        for flag in EXACT_CAPS:
             if rng.random() < 0.5:
                 argv += [flag, _cap(rng)]
     if command in ("estimate", "compare", "mc") and rng.random() < 0.3:
@@ -159,8 +174,9 @@ def _bad_value(argv: list[str]) -> bool:
             or not 1 <= int(flags.get("--digits", 1)) <= 17)
 
 
-def check(argv: list[str]) -> str | None:
-    """Run one command line; None if it kept the contract, else what broke."""
+def check(argv: list[str]) -> tuple[str | None, int | None, dict | None]:
+    """Run one command line: what broke (None if it kept the contract), its
+    exit code, and the record it wrote if that reads back."""
     out, err, digits = io.StringIO(), io.StringIO(), DIGITS()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -168,29 +184,70 @@ def check(argv: list[str]) -> str | None:
     except _Slow:
         raise
     except BaseException:
-        return traceback.format_exc()
+        return traceback.format_exc(), None, None
     out, err = out.getvalue(), err.getvalue()
     if DIGITS() != digits:
-        return f"the int-to-str digit limit is {DIGITS()} after the call, {digits} before"
+        return (f"the int-to-str digit limit is {DIGITS()} after the call, {digits} before",
+                code, None)
     if code not in (0, 1, 2):
-        return f"exit {code!r}, stderr {err!r}"
+        return f"exit {code!r}, stderr {err!r}", code, None
     if code != 1 and _bad_value(argv):
-        return f"exit {code} on a bad argument, stderr {err!r}"
+        return f"exit {code} on a bad argument, stderr {err!r}", code, None
     if code == 1 or err == "contab: resource limit: out of memory\n":
         if out or not err.startswith("contab: ") or err.count("\n") != 1:
-            return f"exit {code} wrote stdout {out!r} and stderr {err!r}"
-        return None
+            return f"exit {code} wrote stdout {out!r} and stderr {err!r}", code, None
+        return None, code, None
     fmt = argv[argv.index("--format") + 1]
     if argv[0] == "compare" and fmt == "text":
-        return None                  # a table, not key: value lines
+        return None, code, None      # a table, not key: value lines
     try:
         record = _record(out, fmt)
     except ValueError as exc:
-        return f"exit {code} wrote an unreadable record ({exc}): {out!r}"
+        return f"exit {code} wrote an unreadable record ({exc}): {out!r}", code, None
     if code == 2 and (record.get("error") != "resource_limit"
                       or not {"kind", "limit", "used"} <= set(record)):
-        return f"exit 2 record lacks the cap fields: {record}"
-    return None
+        return f"exit 2 record lacks the cap fields: {record}", code, record
+    return None, code, record
+
+
+def halved(argv: list[str]) -> list[str]:
+    """argv with every cap its subcommand reads halved, the given value or the default."""
+    argv = list(argv)
+    for flag, default in CAPS[argv[0]].items():
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(int(argv[i]) // 2)
+        else:
+            argv += [flag, str(default // 2)]
+    return argv
+
+
+def check_halved(argv: list[str], record: dict) -> str | None:
+    """Rerun an exit-0 call with its caps halved; None if the cap did not truncate it."""
+    broke, code, again = check(argv)
+    if broke is None and code == 1:
+        broke = "exit 1"
+    elif broke is None and code == 0:
+        # the smaller caps may stop the exact count of compare or verify-integral
+        drop = {"runtime_s", *(EXACT_FIELDS if again.get("exact_reason") else ())}
+        if {k: v for k, v in again.items() if k not in drop} != \
+                {k: v for k, v in record.items() if k not in drop}:
+            broke = f"exit 0 with record {again}, where the full caps wrote {record}"
+    return broke and f"with every cap halved, {_show(argv)}: {broke}"
+
+
+def _alarmed(call, *args):
+    """call(*args) under the per-call alarm; _Slow once it overruns TIMEOUT_S."""
+    digits = DIGITS()
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+    try:
+        return call(*args)
+    except _Slow:
+        if digits:                   # the alarm may have cut main's restore short
+            sys.set_int_max_str_digits(digits)
+        raise
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def _show(argv: list[str]) -> str:
@@ -206,22 +263,25 @@ def main() -> int:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(args.seed)
-    breaks, slow, slowest, digits = [], [], (0.0, []), DIGITS()
+    breaks, slow, slowest, reruns = [], [], (0.0, []), 0
     for _ in range(args.cases):
         argv = _argv(rng)
         started = time.perf_counter()
-        signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
         try:
-            broke = check(argv)
+            broke, code, record = _alarmed(check, argv)
         except _Slow:
-            broke = None
+            broke, code, record = None, None, None
             slow.append(argv)
-            if digits:               # the alarm may have cut main's restore short
-                sys.set_int_max_str_digits(digits)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
         # the alarm interrupts Python code only, so a long C call can overrun it
-        slowest = max(slowest, (time.perf_counter() - started, argv))
+        elapsed = time.perf_counter() - started
+        slowest = max(slowest, (elapsed, argv))
+        if not broke and code == 0 and record is not None and argv[0] in CAPS \
+                and elapsed <= TIMEOUT_S / 2:
+            rerun, reruns = halved(argv), reruns + 1
+            try:
+                broke = _alarmed(check_halved, rerun, record)
+            except _Slow:
+                slow.append(rerun)
         if broke:
             breaks.append((argv, broke))
     for argv, broke in breaks:
@@ -230,7 +290,8 @@ def main() -> int:
     for argv in slow:
         print(f"slow: {_show(argv)}", file=sys.stderr)
     too_slow = len(slow) > MAX_SLOW_SHARE * args.cases
-    print(f"{args.cases} cases at seed {args.seed}: {len(breaks)} broke the contract, "
+    print(f"{args.cases} cases at seed {args.seed} ({reruns} rerun with every cap halved): "
+          f"{len(breaks)} broke the contract, "
           f"{len(slow)} skipped as slower than {TIMEOUT_S} s"
           f"{' (too many, so the run fails)' if too_slow else ''}; the slowest took "
           f"{slowest[0]:.1f} s: {_show(slowest[1])}")

@@ -475,10 +475,14 @@ def test_check_hypothesis_rational_and_threshold():
     rec = run_json("check-hypothesis", "3", "100", "3", "100")
     assert rec["lhs"] == "41209/15450"
     assert math.isclose(rec["lhs_float"], 41209 / 15450, rel_tol=1e-12)
+    # Theorem 1 asks lhs <= a * ln(n): 3 <= 5 ln 2 = 3.47 holds, 3 <= 4 ln 2 = 2.77
+    # does not, on either side of min_coefficient 3 / ln 2 = 4.328
     rec = run_json("check-hypothesis", "2", "2", "2", "2", "--a", "5.0")
     assert rec["lhs"] == "3"
-    assert rec["satisfied"] is False
+    assert rec["satisfied"] is True
     assert math.isclose(rec["threshold"], 5.0 * math.log(2), rel_tol=1e-12)
+    assert math.isclose(rec["min_coefficient"], 3 / math.log(2), rel_tol=1e-12)
+    assert run_json("check-hypothesis", "2", "2", "2", "2", "--a", "4")["satisfied"] is False
 
 
 def _strict_json(out):

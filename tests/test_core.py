@@ -1,4 +1,4 @@
-"""Spec validation, log helpers, and scientific rendering."""
+"""Spec validation, the caps budget, log helpers, and scientific rendering."""
 
 import math
 from fractions import Fraction
@@ -15,6 +15,8 @@ from contab.core import (
     log_of_fraction,
     make_spec,
 )
+from contab.exact import count_exact
+from contab.integral import integral_numeric
 
 
 def test_valid_spec_roundtrip():
@@ -45,6 +47,18 @@ def test_degenerate_dimensions_rejected(bad):
 def test_non_integer_fields_rejected(nonint):
     with pytest.raises(InvalidSpecError):
         TableSpec(*nonint)
+
+
+@pytest.mark.parametrize("call, cap", [
+    (lambda spec: count_exact(spec, max_work=-1), "max_work=-1"),
+    (lambda spec: count_exact(spec, max_states=-1), "max_states=-1"),
+    (lambda spec: integral_numeric(spec, 8, max_evals=-1), "max_evals=-1"),
+], ids=["work", "states", "evals"])
+def test_negative_cap_refused_by_each_library_call(call, cap):
+    # the command line refuses a negative cap as it parses; a library call
+    # gets the one check of its budget, with one message for every cap
+    with pytest.raises(InvalidSpecError, match=rf"^caps must be nonnegative, got {cap}$"):
+        call(make_spec(2, 2, 2, 2))
 
 
 def test_zero_margins_allowed():

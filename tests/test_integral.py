@@ -171,6 +171,27 @@ def test_one_row_quadrature_builds_one_factor_row():
 
 
 @pytest.mark.traced
+@pytest.mark.parametrize("quad, p, per_term", [((1, 3, 3, 1), 2 ** 20, 44),
+                                               ((2, 2, 2, 2), 2 ** 11, 20)],
+                         ids=["one_row", "two_rows"])
+def test_quadrature_peak_per_term(quad, p, per_term):
+    # the factor table and the phases are each built in one complex buffer:
+    # one row peaks at the grid, its one g row and one phase row, 40 bytes a
+    # term, and two rows at the p x p table of g, 16 bytes a term, where
+    # making a new array at each step peaked at 72 and 32
+    spec = make_spec(*quad)
+    integral_numeric(spec, 4)  # first-call costs stay out of the peak
+    tracemalloc.start()
+    try:
+        value = integral_numeric(spec, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_term * p ** spec.m
+    assert abs(reconstruct_count(spec, value) - count_exact(spec)) <= 1e-9 * count_exact(spec)
+
+
+@pytest.mark.traced
 @pytest.mark.parametrize("m, used", [(26, 2**26), (10**18, 2**23 + 1)],
                          ids=["26_rows", "1e18_rows"])
 def test_many_rows_stop_at_the_eval_budget(m, used):
@@ -192,11 +213,14 @@ def test_many_rows_stop_at_the_eval_budget(m, used):
 
 
 def test_eval_budget_enforced():
+    spec = make_spec(2, 2, 2, 2)
     with pytest.raises(ResourceLimitError) as err:
-        integral_numeric(make_spec(2, 2, 2, 2), 64, max_evals=1000)
+        integral_numeric(spec, 64, max_evals=1000)
     assert err.value.kind == "evals"
     assert err.value.limit == 1000
     assert err.value.used == 64**2
+    # the message names the spec, as every cap error does
+    assert str(err.value) == f"quadrature budget exhausted counting {spec}: 64^2 terms > 1000"
 
 
 def test_grid_size_validated():
