@@ -177,8 +177,7 @@ def test_one_row_quadrature_builds_one_factor_row():
 def test_quadrature_peak_per_term(quad, p, per_term):
     # the factor table and the phases are each built in one complex buffer:
     # one row peaks at the grid, its one g row and one phase row, 40 bytes a
-    # term, and two rows at the p x p table of g, 16 bytes a term, where
-    # making a new array at each step peaked at 72 and 32
+    # term, and two rows at the p x p table of g, 16 bytes a term
     spec = make_spec(*quad)
     integral_numeric(spec, 4)  # first-call costs stay out of the peak
     tracemalloc.start()
