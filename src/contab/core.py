@@ -15,6 +15,7 @@ final log-space evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ class Budget:
     def __init__(self, spec: TableSpec, **caps: int):
         for kind, cap in caps.items():
             if cap < 0:
-                raise InvalidSpecError(f"caps must be nonnegative, got max_{kind}={cap}")
+                raise InvalidSpecError(f"caps must be nonnegative, got max_{kind}={int_text(cap)}")
         self.spec, self.caps = spec, caps
 
     def error(self, kind: str, used: int, detail: str, limit: int | None = None):
@@ -63,14 +64,14 @@ class Budget:
         """Charge a closed form holding `ints` ints below 2**bits and doing sum(work)."""
         held = ints * (36 + 4 * (bits // 30))  # a list slot and 28 bytes plus 4 per 30 bits
         if -(-held // STATE_BYTES) > self.caps["states"]:
-            raise self.error("states", -(-held // STATE_BYTES), f"{held} bytes of ints > "
-                             f"{self.caps['states']} states of {STATE_BYTES} bytes")
+            raise self.error("states", -(-held // STATE_BYTES), f"{int_text(held)} bytes of "
+                             f"ints > {self.caps['states']} states of {STATE_BYTES} bytes")
         work = sum(work)  # only once the ints fit: a lazy sum may take O(n) steps
         if work > self.caps["work"]:
-            raise self.error("work", work, f"{work} units of work > {self.caps['work']}")
+            raise self.error("work", work, f"{int_text(work)} units of work > {self.caps['work']}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TableSpec:
     """Validated margin specification (m rows summing to s, n columns to t)."""
 
@@ -85,15 +86,20 @@ class TableSpec:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidSpecError(f"{name} must be an integer, got {v!r}")
         if self.m < 1 or self.n < 1:
-            raise InvalidSpecError(
-                f"need at least one row and one column, got m={self.m}, n={self.n}")
+            raise InvalidSpecError("need at least one row and one column, "
+                                   f"got m={int_text(self.m)}, n={int_text(self.n)}")
         if self.s < 0 or self.t < 0:
-            raise InvalidSpecError(
-                f"row and column sums must be nonnegative, got s={self.s}, t={self.t}")
+            raise InvalidSpecError("row and column sums must be nonnegative, "
+                                   f"got s={int_text(self.s)}, t={int_text(self.t)}")
         if self.m * self.s != self.n * self.t:
+            m, s, n, t = map(int_text, (self.m, self.s, self.n, self.t))
             raise InvalidSpecError(
-                f"unbalanced margins: {self.m}·{self.s} ≠ {self.n}·{self.t}"
-                f" (row total {self.m * self.s} vs column total {self.n * self.t})")
+                f"unbalanced margins: {m}·{s} ≠ {n}·{t} (row total "
+                f"{int_text(self.m * self.s)} vs column total {int_text(self.n * self.t)})")
+
+    def __repr__(self) -> str:
+        m, s, n, t = map(int_text, (self.m, self.s, self.n, self.t))
+        return f"TableSpec(m={m}, s={s}, n={n}, t={t})"
 
     @property
     def density(self) -> Fraction:
@@ -135,7 +141,7 @@ def log_binomial(a: int, b: int) -> float:
     if not isinstance(a, int) or not isinstance(b, int):
         raise InvalidSpecError(f"binomial arguments must be integers, got {a!r}, {b!r}")
     if b < 0 or b > a:
-        raise InvalidSpecError(f"need 0 <= b <= a, got a={a}, b={b}")
+        raise InvalidSpecError(f"need 0 <= b <= a, got a={int_text(a)}, b={int_text(b)}")
     k = min(b, a - b)
     if k == 0:
         return 0.0
@@ -273,6 +279,15 @@ class EstimateInterval:
         return f"({mid_body} ± {half_body}){suffix}"
 
 
+def int_text(value: int) -> str:
+    """value in decimal, or to 6 digits where str() would pass its digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or value.bit_length() <= 3 * limit:  # 3 bits are under a digit
+        return str(value)
+    digits, exponent = leading_digits(abs(value), 6)
+    return f"{'-' * (value < 0)}{digits / 1e5:.5f}e{exponent}"
+
+
 def leading_digits(value: int, digits: int) -> tuple[int, int]:
     """First `digits` decimal digits of a positive int, round-half-even.
 
@@ -280,14 +295,20 @@ def leading_digits(value: int, digits: int) -> tuple[int, int]:
     leading digit).  leading_digits(13268976, 6) == (132690, 7).
     """
     if value <= 0:
-        raise InvalidSpecError(f"need a positive integer, got {value}")
+        raise InvalidSpecError(f"need a positive integer, got {int_text(value)}")
     if digits < 1:
         raise InvalidSpecError(f"digits must be >= 1, got {digits}")
-    text = str(value)
-    exponent = len(text) - 1
-    if len(text) <= digits:
-        return value * 10 ** (digits - len(text)), exponent
-    modulus = 10 ** (len(text) - digits)
+    # floor(log10 value) from the bit length, so no str() of the whole int:
+    # the estimate is off by at most one, either way
+    exponent = int((value.bit_length() - 1) * math.log10(2))
+    power = 10 ** exponent
+    if power > value:
+        exponent, power = exponent - 1, power // 10
+    elif 10 * power <= value:
+        exponent, power = exponent + 1, 10 * power
+    if exponent < digits:
+        return value * 10 ** (digits - 1 - exponent), exponent
+    modulus = power // 10 ** (digits - 1)
     q, r = divmod(value, modulus)
     if 2 * r > modulus or (2 * r == modulus and q & 1):
         q += 1

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import (EstimateInterval, InvalidSpecError, LogEstimate, TableSpec,
-                   cell_entropy, gaussian_coeff, log_binomial, log_of_fraction)
+                   cell_entropy, gaussian_coeff, int_text, log_binomial, log_of_fraction)
 
 
 def good_log(spec: TableSpec) -> float:
@@ -127,7 +127,7 @@ def bracket_delta_from_log(spec: TableSpec, log_count: float) -> float:
 def bracket_delta(spec: TableSpec, exact_count: int) -> float:
     """Delta recovered from an exact count; conjectured to lie in (0, 2)."""
     if exact_count < 1:
-        raise InvalidSpecError(f"need a positive exact count, got {exact_count}")
+        raise InvalidSpecError(f"need a positive exact count, got {int_text(exact_count)}")
     return bracket_delta_from_log(spec, math.log(exact_count))
 
 
@@ -152,7 +152,7 @@ def independence_decomposition(spec: TableSpec, exact_count: int) -> CountDecomp
     """Split an exact count into the independence factors N, P1, P2, E."""
     spec.positive_density()
     if exact_count < 1:
-        raise InvalidSpecError(f"need a positive exact count, got {exact_count}")
+        raise InvalidSpecError(f"need a positive exact count, got {int_text(exact_count)}")
     m, s, n, t = spec.m, spec.s, spec.n, spec.t
     total = spec.total
     n_placements = comb(m * n + total - 1, total)

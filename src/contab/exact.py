@@ -38,9 +38,9 @@ the state's count and one insert: each class but the last two folds into
 one {partial code: labelings} dict per total taken, the next to last takes
 each total it can and the last the units left, in one lookup.  These
 dicts keep int keys, whose collisions need rows 61 apart (at most 5 keys
-to a hash on (5,200,10,100)).  A state of one class has no two moves with
-one child and streams them unstored.  Stored options are bounded by
-max_states entries in all and never evicted; past that, lists go unstored.
+to a hash on (5,200,10,100)).  A lone class pairs with a class of no rows.
+Option lists stop one entry past min(work left, max_states); one that long,
+or any past max_states stored entries, goes unstored; none is evicted.
 
 The pass stops with h = n // 2 columns left and joins.  The layer with c
 columns left maps a state D to W_c(D), orbit(D) times the fillings of the
@@ -87,8 +87,8 @@ rows: a few), and their coefficients and terms as work, a two-row term at n
 units, as its comb calls take up to n big-int steps each.  The pass of four
 rows or more (the join adds no work) caps the states held in the layer being
 built, checked at each insert and on each dict of one total that a state
-sums, and charges column allocations from the option-list lengths before the
-children they make are formed (per move for one class).  The state cap is
+sums, and charges each state's column allocations from its option-list
+lengths before any of its children is formed.  The state cap is
 the memory guard: STATE_BYTES, about a kilobyte, per state, the layer being
 expanded included, so the default 2**20 keeps a pass near a gigabyte.  A
 held state costs its key, ceil(b * (s + 1) / 8) bytes plus 33 of header
@@ -107,7 +107,7 @@ from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial, prod
 from operator import mul, sub
 
-from .core import STATE_BYTES, Budget, InvalidSpecError, TableSpec
+from .core import STATE_BYTES, Budget, InvalidSpecError, TableSpec, int_text
 
 DEFAULT_MAX_STATES = 2 ** 20
 DEFAULT_MAX_WORK = 10 ** 9
@@ -149,7 +149,7 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
     b = m.bit_length()
     width = (b * (s + 1) + 7) // 8
     if width > STATE_BYTES:  # no key may be wider than the bytes budgeted per state
-        raise budget.error("states", 1, f"a state key of {width} bytes exceeds "
+        raise budget.error("states", 1, f"a state key of {int_text(width)} bytes exceeds "
                            f"the {STATE_BYTES} budgeted per state", limit=0)
 
     layer = {(m << b * s).to_bytes(width, "little"): 1}
@@ -161,16 +161,12 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
             vs, mus = _decode(int.from_bytes(key, "little"), b)
             assert sum(map(int.__mul__, vs, mus)) == cols * t, \
                 "mass conservation violated"
-            if len(vs) == 1:  # each move its own child, one step of work
-                v, hi = vs[0], min(vs[0], t)
-                moves, step = _class_options(mus[0], hi, hi == v, t, b, b * (v - hi)), 1
-            else:
-                children, allocations = memo.children(vs, mus, max_work - work)
-                moves, step, work = children.items(), 0, work + allocations
-            for child, labelings in moves:
-                work += step
-                if work > max_work:
-                    break
+            children, allocations = memo.children(vs, mus, max_work - work)
+            work += allocations
+            if work > max_work:
+                raise budget.error("work", max_work + 1, f"over {max_work} allocations "
+                                   f"({len(nxt)} states in the layer being built)")
+            for child, labelings in children.items():
                 # one lookup and one store: hashing the key is much of a step
                 child = child.to_bytes(width, "little")
                 known = nxt.get(child)
@@ -181,9 +177,6 @@ def count_exact(spec: TableSpec, *, max_states: int = DEFAULT_MAX_STATES,
                 else:
                     raise budget.error("states", len(nxt) + 1,
                                        f"{len(nxt) + 1} states in one layer > {max_states}")
-            if work > max_work:
-                raise budget.error("work", max_work + 1, f"over {max_work} allocations "
-                                   f"({len(nxt)} states in the layer being built)")
         if cols - 1 == n - h:
             mirror = nxt
         layer = nxt
@@ -287,13 +280,15 @@ class _Moves:
         self.held = 0
 
     def children(self, vs: list[int], mus: list[int], room: int) -> tuple[dict, int]:
-        """{child code: summed labelings} of a state of several classes, and its allocations.
+        """{child code: summed labelings} of a state, and its allocations.
 
         mus[i] rows have deficit vs[i], increasing.  Once the allocations,
         counted from the option-list lengths, pass room, no child is formed:
         the dict is empty and the count only known to pass room.
         """
         b, t, cap, memo = self.b, self.t, self.max_states, self.options
+        if len(vs) == 1:  # the last of a pair whose first class holds no rows
+            vs, mus = [0, vs[0]], [0, mus[0]]
         rest = sum(map(mul, mus, map(min, vs, repeat(t))))  # what later classes absorb
         # partials maps the units u taken so far to (code, weight) pairs and
         # counts to their partial allocations, each a floor on the allocations
@@ -307,7 +302,7 @@ class _Moves:
                 items, rem = partials[u], t - u
                 lo = rem - rest  # plain comparisons below: this runs once per total
                 for a in range(lo if lo > 0 else 0, (top if top < rem else rem) + 1):
-                    options = table.get(a) or self._build(table, mu, hi, v, a)
+                    options = table.get(a) or self._build(table, mu, hi, v, a, room)
                     floor += ways * len(options)
                     if floor > room:
                         return {}, floor
@@ -334,8 +329,8 @@ class _Moves:
             rem = t - u
             lo = rem - mu2 * hi2
             for a in range(lo if lo > 0 else 0, (top if top < rem else rem) + 1):
-                options1 = table1.get(a) or self._build(table1, mu1, hi1, v1, a)
-                options2 = table2.get(rem - a) or self._build(table2, mu2, hi2, v2, rem - a)
+                options1 = table1.get(a) or self._build(table1, mu1, hi1, v1, a, room)
+                options2 = table2.get(rem - a) or self._build(table2, mu2, hi2, v2, rem - a, room)
                 pairs.append((partials[u], options1, options2))
                 allocations += ways * len(options1) * len(options2)
         if allocations > room:
@@ -354,19 +349,24 @@ class _Moves:
                 raise self.budget.error("states", cap + 1, f"over {cap} children of one state")
         return acc, allocations
 
-    def _build(self, table: dict, mu: int, hi: int, v: int, total: int) -> list:
-        """The option list of a class at one total, stored if the budget has room."""
-        options = list(_class_options(mu, hi, hi == v, total, self.b))
-        if len(options) <= self.max_states - self.held:
+    def _build(self, table: dict, mu: int, hi: int, v: int, total: int, room: int) -> list:
+        """The option list of a class at one total, stored if the budget has room.
+
+        The list ends one entry past min(room, state cap): one that long shows
+        that its state passes a cap, may be partial, and is never stored.
+        """
+        cut = min(room, self.max_states) + 1
+        options = list(islice(_class_options(mu, hi, hi == v, total, self.b), cut))
+        if len(options) < cut and len(options) <= self.max_states - self.held:
             table[total] = options
             self.held += len(options)
         return options
 
 
-def _class_options(mu: int, hi: int, fin: bool, total: int, b: int, low: int = 0):
+def _class_options(mu: int, hi: int, fin: bool, total: int, b: int):
     """Yield (code, labelings) for each multiset of mu amounts in [0, hi] summing to total.
 
-    A row taking x adds 1 << low + b * (hi - x) to the code, except that
+    A row taking x adds 1 << b * (hi - x) to the code, except that
     with fin (hi is the class's deficit) a row taking hi finishes and adds
     nothing; labelings = mu! / prod k_x!, the ways to hand the amounts to
     labeled rows.  A stack entry (a, rows, rem, ways, code) still has to
@@ -378,9 +378,9 @@ def _class_options(mu: int, hi: int, fin: bool, total: int, b: int, low: int = 0
         a, rows, rem, ways, code = stack.pop()
         if a > rem:
             a = rem
-        # every remaining row takes nothing; hi >= 1, so none finishes
+        # every remaining row takes nothing; hi >= 1 if any is left, so none finishes
         if rem == 0:
-            yield code + (rows << low + b * hi), ways
+            yield code + (rows << b * hi), ways
             continue
         # k >= 1 rows take amount x, the rest take less
         for x in range(a, 0, -1):
@@ -390,7 +390,7 @@ def _class_options(mu: int, hi: int, fin: bool, total: int, b: int, low: int = 0
             kmax = rem // x  # <= rows: kmin <= rows means rem <= rows * x
             if kmin < 1:
                 kmin = 1
-            shift = low + b * (hi - x)
+            shift = b * (hi - x)
             for k in range(kmin, kmax + 1):
                 child = code + (k << shift) if x < hi or not fin else code
                 if k == rows:

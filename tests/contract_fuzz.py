@@ -11,6 +11,10 @@ record; any other exit writes a record that reads back in its format and
 holds no nan or infinity, and on exit 2 it carries the cap fields error,
 kind, limit and used.
 
+An answer is right: each exit-0 count, delta and decompose whose margins,
+in either orientation, count_bruteforce enumerates in at most
+ORACLE_MAX_ROW_TUPLES row tuples must give its count, as a decimal string.
+
 A cap never truncates: each call that exits 0 within half of TIMEOUT_S and
 whose subcommand reads caps runs again with every cap it reads halved, given
 or default.  The rerun must exit 0 with the same record apart from
@@ -48,6 +52,7 @@ import traceback
 import numpy  # noqa: F401  (imported before the address space is limited)
 
 from contab import cli, exact, integral
+from contab.core import make_spec
 
 FORMATS = ("text", "json", "csv")
 METHODS = ("good", "thm1", "thm1-closed", "cor1", "conj1")
@@ -68,6 +73,11 @@ CAPS["verify-integral"] = {**EXACT_CAPS, "--max-evals": integral.DEFAULT_MAX_EVA
 # the fields of an exact count that compare and verify-integral replace by
 # exact_reason when a cap stops it
 EXACT_FIELDS = ("exact", "exact_reason", "relative_error")
+# the exact counts checked against count_bruteforce: those whose spec or
+# its transpose enumerates at most this many row tuples C(s+n-1, n-1)^m
+ORACLE_MAX_ROW_TUPLES = 10 ** 4
+# the field of the exact count in each record that the oracle checks
+ORACLE_FIELDS = {"count": "value", "delta": "exact", "decompose": "exact"}
 # CPython's int-to-str digit limit (from 3.10.7 on; 0 means none), which
 # cli.main lifts while it runs and must put back
 DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -210,6 +220,28 @@ def check(argv: list[str]) -> tuple[str | None, int | None, dict | None]:
     return None, code, record
 
 
+def small(argv: list[str]) -> tuple | None:
+    """The margins of an exit-0 call that the oracle checks, in the orientation
+    count_bruteforce enumerates fewer row tuples of; None past its bound."""
+    if argv[0] not in ORACLE_FIELDS:
+        return None
+    m, s, n, t = map(int, argv[1:5])
+    if m * n > exact.BRUTEFORCE_MAX_CELLS or max(s, t) > exact.BRUTEFORCE_MAX_ROWSUM:
+        return None
+    tuples, shape = min((math.comb(s + n - 1, n - 1) ** m, (m, s, n, t)),
+                        (math.comb(t + m - 1, m - 1) ** n, (n, t, m, s)))
+    return shape if tuples <= ORACLE_MAX_ROW_TUPLES else None
+
+
+def oracle(argv: list[str], record: dict, shape: tuple) -> str | None:
+    """How the exact count in record differs from count_bruteforce's; None if it agrees."""
+    want = str(exact.count_bruteforce(make_spec(*shape)))
+    field = ORACLE_FIELDS[argv[0]]
+    if record.get(field) != want:
+        return f"{field} {record.get(field)!r}, where count_bruteforce gives {want}"
+    return None
+
+
 def halved(argv: list[str]) -> list[str]:
     """argv with every cap its subcommand reads halved, the given value or the default."""
     argv = list(argv)
@@ -263,7 +295,7 @@ def main() -> int:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     signal.signal(signal.SIGALRM, _alarm)
     rng = random.Random(args.seed)
-    breaks, slow, slowest, reruns = [], [], (0.0, []), 0
+    breaks, slow, slowest, reruns, checked = [], [], (0.0, []), 0, 0
     for _ in range(args.cases):
         argv = _argv(rng)
         started = time.perf_counter()
@@ -275,6 +307,9 @@ def main() -> int:
         # the alarm interrupts Python code only, so a long C call can overrun it
         elapsed = time.perf_counter() - started
         slowest = max(slowest, (elapsed, argv))
+        shape = small(argv) if not broke and code == 0 and record is not None else None
+        if shape:
+            broke, checked = oracle(argv, record, shape), checked + 1
         if not broke and code == 0 and record is not None and argv[0] in CAPS \
                 and elapsed <= TIMEOUT_S / 2:
             rerun, reruns = halved(argv), reruns + 1
@@ -290,7 +325,8 @@ def main() -> int:
     for argv in slow:
         print(f"slow: {_show(argv)}", file=sys.stderr)
     too_slow = len(slow) > MAX_SLOW_SHARE * args.cases
-    print(f"{args.cases} cases at seed {args.seed} ({reruns} rerun with every cap halved): "
+    print(f"{args.cases} cases at seed {args.seed} ({checked} checked against "
+          f"count_bruteforce, {reruns} rerun with every cap halved): "
           f"{len(breaks)} broke the contract, "
           f"{len(slow)} skipped as slower than {TIMEOUT_S} s"
           f"{' (too many, so the run fails)' if too_slow else ''}; the slowest took "

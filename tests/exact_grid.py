@@ -1,7 +1,7 @@
 """Equality grid for the exact counter: every count and cap hit, pinned by digest.
 
 Runs count_exact on the 291 shapes with m <= 7, n <= 12, 1 <= s <= 12 and
-t <= 16 (in m, n, s order) under 5 cap settings, serializes each result as
+t <= 16 (in m, n, s order) under 7 cap settings, serializes each result as
 [m, s, n, t, caps, str(count) or [kind, limit, used]] and compares the
 sha256 of json.dumps of that list with DIGEST.  A change to the exact
 counter must leave every count and the kind/limit/used of every cap hit as
@@ -10,7 +10,7 @@ they were.  Exits 1 on a mismatch.
     PYTHONPATH=src python tests/exact_grid.py [--dump FILE]
 
 --dump writes the JSON, to diff against a run of another checkout.  pytest
-does not collect this file; it takes about 30 s.
+does not collect this file; it takes about 10 s.
 """
 
 import argparse
@@ -22,8 +22,9 @@ from contab.core import ResourceLimitError, make_spec
 from contab.exact import count_exact
 
 CAPS = [{}, {"max_work": 1000}, {"max_states": 40},
-        {"max_work": 5000, "max_states": 300}, {"max_states": 5}]
-DIGEST = "a4e2776a69510335b33e0c2bc26b6a631ec36f3b865920671f217424adcec85d"
+        {"max_work": 5000, "max_states": 300}, {"max_states": 5},
+        {"max_work": 30}, {"max_states": 12, "max_work": 25}]
+DIGEST = "cae8cd0db17986e3dc812e66a587763459587478ac02d3a9879bcb7283525210"
 
 
 def grid() -> list:

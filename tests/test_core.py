@@ -1,6 +1,7 @@
 """Spec validation, the caps budget, log helpers, and scientific rendering."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from contab.core import (
     EstimateInterval,
     InvalidSpecError,
     LogEstimate,
+    ResourceLimitError,
     TableSpec,
     leading_digits,
     log_binomial,
     log_of_fraction,
     make_spec,
 )
+from contab.estimators import bracket_delta
 from contab.exact import count_exact
 from contab.integral import integral_numeric
 
@@ -207,3 +210,44 @@ def test_leading_digits_agrees_with_decimal_rendering():
     digits, expo = leading_digits(value, 9)
     assert digits == 123456789
     assert expo == 17
+
+
+@pytest.fixture
+def str_digit_limit():
+    # the interpreter's default limit on int <-> str conversion, which the
+    # command line lifts and a library caller keeps
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any size")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_leading_digits_past_the_str_digit_limit(str_digit_limit):
+    # 2000! has 5736 digits, and count_exact counts the 2000 x 2000
+    # permutation matrices as that very int
+    count = count_exact(make_spec(2000, 1, 2000, 1))
+    assert count == math.factorial(2000)
+    assert leading_digits(count, 6) == (331628, 5735)
+    assert leading_digits(10 ** 5000 - 1, 6) == (100000, 5000)  # carry into a new decade
+    assert leading_digits(10 ** 5000 + 5 * 10 ** 4994, 6) == (100000, 5000)  # half to even
+    assert leading_digits(10 ** 5000 + 15 * 10 ** 4994, 6) == (100002, 5000)
+
+
+def test_messages_past_the_str_digit_limit(str_digit_limit):
+    # m·s has 5001 digits: the message gives it to 6 digits, and a cap hit
+    # on a spec of such margins names it the same way, as do the other
+    # messages that show an int a caller or a closed form's charge gives
+    with pytest.raises(InvalidSpecError, match=r"\(row total 1\.00000e5000 vs column total 1\)$"):
+        make_spec(10 ** 2500, 10 ** 2500, 1, 1)
+    with pytest.raises(ResourceLimitError, match=r"counting TableSpec\(m=4, s=1\.00000e5000, "):
+        count_exact(make_spec(4, 10 ** 5000, 4, 10 ** 5000))
+    with pytest.raises(ResourceLimitError, match=r": 4\.65136e10004 bytes of ints > "):
+        count_exact(make_spec(3, 10 ** 5000, 3 * 10 ** 5000, 1))
+    with pytest.raises(InvalidSpecError, match=r"^caps must be nonnegative, got max_work=-1\.00000e5000$"):
+        count_exact(make_spec(2, 2, 2, 2), max_work=-10 ** 5000)
+    with pytest.raises(InvalidSpecError, match=r"got a=1\.00000e5000, b=-1$"):
+        log_binomial(10 ** 5000, -1)
+    with pytest.raises(InvalidSpecError, match=r"got -1\.00000e5000$"):
+        bracket_delta(make_spec(2, 2, 2, 2), -10 ** 5000)

@@ -234,12 +234,13 @@ def _record_memos(monkeypatch):
 
 def test_option_budget_keeps_the_count(monkeypatch):
     # no layer of (4,12,4,12) holds more than 86 states, but its option
-    # lists reach 609 entries, so under 200 the budget fills and later
-    # lists are built and used but not stored
+    # lists, those of one-class states included, reach 693 entries, so
+    # under 200 the budget fills and later lists are built and used but
+    # not stored
     memos = _record_memos(monkeypatch)
     spec = make_spec(4, 12, 4, 12)
     count = count_exact(spec)
-    assert (count, memos[-1].held) == (20158151, 609)
+    assert (count, memos[-1].held) == (20158151, 693)
     assert count_exact(spec, max_states=200) == count
     assert memos[-1].held == 200
     # no layer of (4,30,20,6) holds more than 956 states, so a cap of 2000
@@ -253,7 +254,8 @@ def test_option_budget_keeps_the_count(monkeypatch):
 @pytest.mark.traced
 def test_work_cap_is_prompt_on_wide_margins():
     # the one state of the first layer has 109 million moves, 938 bytes
-    # each; they are streamed, not stored, so the cap stops the pass at once
+    # each; its option list ends one entry past the work cap and is not
+    # stored, so the cap stops the pass at once
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError) as err:
@@ -265,11 +267,27 @@ def test_work_cap_is_prompt_on_wide_margins():
     assert peak < 32 << 20
 
 
+@pytest.mark.traced
+def test_state_cap_is_prompt_on_wide_margins():
+    # the same first state under a state cap below the work cap: its option
+    # list ends one entry past the state cap, and the children it forms
+    # pass the cap before the rest of its moves are drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            count_exact(make_spec(4, 2500, 4, 2500), max_states=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.kind, err.value.limit, err.value.used) == ("states", 1000, 1001)
+    assert peak < 8 << 20
+
+
 def test_work_cap_draws_no_moves_ahead(monkeypatch):
-    # the first state of (6,300,60,30) streams its 2412 moves, one step of
-    # work each; a later state's allocations are counted from its option
-    # lists before any child is formed, so the state that passes the budget
-    # forms none and the children formed stand for at most the budget
+    # every state's allocations, the 2412 moves of the first state of
+    # (6,300,60,30) included, are counted from its option lists before any
+    # child is formed, so the state that passes the budget forms none and
+    # the children formed stand for at most the budget
     calls = []
     children = exact._Moves.children
 
@@ -312,12 +330,12 @@ def test_allocations_match_a_labeled_enumeration():
     # one whose option budget is spent, which stores none.  The oracle keeps
     # each row's lower bound max(0, v - cap_next), which the pass never
     # applies: for 3 <= m <= n it is zero (two rows never reach this pass).
-    # A state of one class streams its moves, each its own child; a state of
-    # several sums each child's labelings over its allocations, and counts them
+    # Every state, one of a single class included, sums each child's
+    # labelings over its allocations, and counts them
     shapes = [(m, s, n, m * s // n) for m in range(3, 6) for s in range(1, 9)
               for n in range(m, 9) if m * s % n == 0 and (m * s // n + 1) ** m <= 4096]
     assert {n % 2 for _, _, n, _ in shapes} == {0, 1}
-    stored = summed = several = 0
+    stored = summed = expanded = 0
     for m, s, n, t in shapes:
         b = m.bit_length()
         memos = [exact._Moves(Budget(make_spec(m, s, n, t), states=10 ** 6), t, b) for _ in range(2)]
@@ -333,23 +351,17 @@ def test_allocations_match_a_labeled_enumeration():
                 for (child, _), size in groups.items():
                     want[child] += size
                 classes = sorted(Counter(deficits).items())
-                if len(classes) == 1:
-                    (v, mu), = classes
-                    hi = min(v, t)
-                    moves = list(exact._class_options(mu, hi, hi == v, t, b, b * (v - hi)))
-                    assert len(moves) == len(groups) and Counter(dict(moves)) == want
-                    continue
                 vs, mus = [v for v, _ in classes], [mu for _, mu in classes]
                 for memo in memos:
                     got = memo.children(vs, mus, len(groups))
                     assert got == (want, len(groups)), ((m, s, n, t), deficits, memo.held)
                     over, allocations = memo.children(vs, mus, len(groups) - 1)
                     assert over == {} and allocations > len(groups) - 1
-                several += 1
+                expanded += 1
                 summed += len(groups) > len(want)
         assert not any(memos[1].options.values())
         stored += memos[0].held
-    assert stored > 0 and several > 100 and summed > 90
+    assert stored > 0 and expanded > 100 and summed > 90
 
 
 def test_children_stop_in_the_fold_once_past_the_room():
